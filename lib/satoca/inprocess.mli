@@ -1,54 +1,33 @@
-(** Inprocessing scheduler: bounded simplification between restarts.
+(** Inprocessing scheduler: failed-literal probing between restarts.
 
     Installs a hook the solver fires at the start of every solve and
-    after every Luby restart; each due round runs, in order,
-    equivalent-literal substitution ({!Bin_graph}), failed-literal
-    probing ({!Probe}), subsumption / self-subsuming resolution
-    ({!Subsume}) and bounded variable elimination ({!Varelim}), each
-    under its own deduction budget.  Every clause the passes add or
-    delete flows through the solver's {!Proof} sink, so DRAT
-    certificates remain checkable by {!Drat.check}; eliminated
-    variables are reconstructed into the model before it is read.
-    Per-pass work is reported in {!Solver.stats}. *)
+    after every Luby restart; each due round runs {!Probe} under a
+    propagation budget.  Every unit a round derives flows through the
+    solver's {!Proof} sink, so DRAT certificates remain checkable by
+    {!Drat.check}.  The work done is reported as the [probed_failed]
+    counter of {!Solver.stats}. *)
 
-type config = {
-  enabled : bool;
-  substitute : bool;
-  subsume : bool;
-  probe : bool;
-  varelim : bool;
-  interval : int;  (** min conflicts between two rounds *)
-  heavy_every : int;
-      (** run the heavy passes (subsume, varelim) only every Nth due
-          round; the light passes (substitute, probe) run every round.
-          Probing pays off when it fires early and often, while the
-          occurrence-indexed passes must amortise their index rebuild
-          against much more search.  [1] = every round. *)
-  subsume_budget : int;  (** candidate subset tests per round *)
-  probe_budget : int;  (** propagations per round *)
-  varelim_budget : int;  (** resolution operations per round *)
-  varelim_max_occ : int;  (** skip variables occurring more often *)
-  varelim_growth : int;  (** max net new clauses per elimination *)
-}
+type config =
+  | Off  (** no inprocessing: the plain CDCL solver *)
+  | On
+      (** a probing round once 1000 conflicts have accrued since the
+          previous one, so instances decided in a few hundred conflicts
+          never pay for it *)
+  | Eager
+      (** a probing round at the start of every solve and after every
+          restart — what the differential fuzzers run, so probing
+          fires even on tiny instances *)
 
-val all_on : config
-(** Every pass enabled with the default budgets. *)
-
-val all_off : config
-(** Inprocessing disabled entirely (the pre-inprocessing solver). *)
-
-type pass = [ `Probe | `Substitute | `Subsume | `Varelim ]
-
-val only : pass list -> config
-(** [all_on] restricted to the given passes — what the per-pass
-    differential fuzzers run. *)
+val of_spec : string option -> config
+(** Parse a [CGRA_INPROCESS] value: [None], [""], ["on"] and ["1"]
+    give [On]; ["off"], ["0"] and ["none"] give [Off]; any other value
+    is read as a comma-separated pass list, which gives [Eager] when it
+    names [probe] and [Off] otherwise (names of passes this solver no
+    longer has are ignored). *)
 
 val default : unit -> config
-(** [all_on], overridden by the [CGRA_INPROCESS] environment variable:
-    ["off"]/["0"]/["none"] disables everything; a comma-separated pass
-    list (e.g. ["subsume,probe"]) enables just those passes. *)
+(** {!of_spec} of the [CGRA_INPROCESS] environment variable. *)
 
 val install : ?config:config -> Solver.t -> unit
 (** Install the scheduler on a solver (replacing any previous hook);
-    [config] defaults to {!default}[ ()].  With [enabled = false] the
-    hook is removed. *)
+    [config] defaults to {!default}[ ()].  [Off] removes the hook. *)

@@ -148,16 +148,6 @@ let test_truncated_proof_incomplete () =
 
 module Inprocess = Cgra_satoca.Inprocess
 
-let named_passes : (string * Inprocess.pass) list =
-  [
-    ("substitute", `Substitute);
-    ("subsume", `Subsume);
-    ("probe", `Probe);
-    ("varelim", `Varelim);
-  ]
-
-let all_passes = List.map snd named_passes
-
 let solve_logged_inproc config nvars clauses =
   let s = Solver.create () in
   let proof = Proof.create () in
@@ -168,27 +158,15 @@ let solve_logged_inproc config nvars clauses =
   (Solver.solve s, proof, s)
 
 let test_inprocess_certificates_validate () =
-  (* every pass alone, then all stacked: the refutation must still
-     check, because each pass logs its additions and deletions *)
-  let configs =
-    ("all passes", Inprocess.only all_passes)
-    :: List.map (fun (name, p) -> (name, Inprocess.only [ p ])) named_passes
-  in
-  List.iter
-    (fun (name, config) ->
-      let result, proof, _ = solve_logged_inproc config 30 (php_clauses 6 5) in
-      Alcotest.(check bool) (name ^ ": unsat") true (result = Solver.Unsat);
-      match Drat.check proof with
-      | Drat.Valid -> ()
-      | Drat.Invalid msg -> Alcotest.failf "%s: certificate rejected: %s" name msg)
-    configs;
-  (* the validation is not vacuous: stacked passes do simplify php(6,5) *)
-  let _, _, s = solve_logged_inproc (Inprocess.only all_passes) 30 (php_clauses 6 5) in
-  let st = Solver.stats s in
-  Alcotest.(check bool) "passes did work" true
-    (st.Solver.subsumed + st.Solver.strengthened + st.Solver.eliminated
-     + st.Solver.probed_failed + st.Solver.substituted
-    > 0)
+  (* eager probing: the refutation must still check, because every
+     failed literal is logged as a unit addition *)
+  let result, proof, s = solve_logged_inproc Inprocess.Eager 30 (php_clauses 6 5) in
+  Alcotest.(check bool) "unsat" true (result = Solver.Unsat);
+  (match Drat.check proof with
+  | Drat.Valid -> ()
+  | Drat.Invalid msg -> Alcotest.failf "certificate rejected: %s" msg);
+  (* the validation is not vacuous: probing does simplify php(6,5) *)
+  Alcotest.(check bool) "probing did work" true ((Solver.stats s).Solver.probed_failed > 0)
 
 let test_tamper_dropped_elim_deletion () =
   (* BVE on x: add the resolvent, delete both parents.  A later blocked
@@ -233,25 +211,6 @@ let test_tamper_forged_strengthening () =
   with
   | Drat.Invalid _ -> ()
   | Drat.Valid -> Alcotest.fail "forged strengthened clause was accepted"
-
-let test_varelim_model_reconstruction () =
-  (* x occurs only positively, so elimination drops its clauses without
-     resolvents; the solver then never sees x during search, and only
-     reconstruction can give it the value the original clauses force.
-     a|b guarantees one premise fires, so x must come back true. *)
-  let x = 2 and a = 0 and b = 1 in
-  let clauses =
-    [ [ Lit.pos x; Lit.neg a ]; [ Lit.pos x; Lit.neg b ]; [ Lit.pos a; Lit.pos b ] ]
-  in
-  let s = Solver.create () in
-  Inprocess.install ~config:(Inprocess.only [ `Varelim ]) s;
-  ignore (Solver.new_vars s 3);
-  List.iter (Solver.add_clause s) clauses;
-  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
-  Alcotest.(check bool) "x was eliminated" true (Solver.is_eliminated s x);
-  Alcotest.(check bool) "reconstructed x satisfies its clauses" true (Solver.value s x);
-  Alcotest.(check bool) "whole model satisfies the original CNF" true
-    (List.for_all (fun cl -> List.exists (fun l -> Solver.lit_value s l) cl) clauses)
 
 (* ---------------- checker unit behaviour ---------------- *)
 
@@ -340,20 +299,17 @@ let test_solve_certifies_infeasible () =
     [ Solve.Sat_backed; Solve.Branch_and_bound; Solve.Brute_force ]
 
 let test_inprocess_ilp_certificate () =
-  (* the certified path with every pass enabled: simplification steps
-     join the trace and the refutation must still check *)
+  (* the certified path with eager probing: probe units join the trace
+     and the refutation must still check *)
   let proof = Proof.create () in
-  let outcome =
-    Solve.solve ~proof ~inprocess:(Inprocess.only all_passes) (infeasible_model ())
-  in
+  let outcome = Solve.solve ~proof ~inprocess:Inprocess.Eager (infeasible_model ()) in
   Alcotest.(check bool) "proven infeasible" true (outcome = Solve.Infeasible);
   Alcotest.(check bool) "trace refutes" true (Proof.has_empty_clause proof);
   Alcotest.(check bool) "certificate validates" true (valid (Drat.check proof))
 
 let test_inprocess_mapping_replays () =
-  (* end to end: a mapping produced with every pass enabled must
-     survive the Check.run replay — which it cannot do unless
-     eliminated variables were reconstructed before extraction *)
+  (* end to end: a mapping produced with eager probing must survive
+     the independent Check.run replay *)
   let dfg = Cgra_dfg.Benchmarks.mac () in
   let lib =
     Cgra_arch.Library.make
@@ -363,7 +319,7 @@ let test_inprocess_mapping_replays () =
   match
     Cgra_core.Ilp_mapper.map
       ~deadline:(Cgra_util.Deadline.after ~seconds:60.0)
-      ~inprocess:(Inprocess.only all_passes) dfg mrrg
+      ~inprocess:Inprocess.Eager dfg mrrg
   with
   | Cgra_core.Ilp_mapper.Mapped (m, _) -> (
       match Cgra_core.Check.run m with
@@ -416,8 +372,6 @@ let suites =
           test_tamper_dropped_elim_deletion;
         Alcotest.test_case "forged strengthening rejects" `Quick
           test_tamper_forged_strengthening;
-        Alcotest.test_case "varelim models are reconstructed" `Quick
-          test_varelim_model_reconstruction;
         Alcotest.test_case "certified ILP with inprocessing" `Quick
           test_inprocess_ilp_certificate;
         Alcotest.test_case "inprocessed mapping survives replay" `Slow

@@ -130,6 +130,8 @@ let test_protocol_response_roundtrip () =
           cache_hit = true;
           warm_start = true;
           session_solves = 3;
+          (* counter names the solver no longer produces still round-trip:
+             the field is a generic name -> count map *)
           inprocess = [ ("subsumed", 2); ("eliminated", 1) ];
           build_phases = [ ("placement", 0.01); ("total", 0.25) ];
         };
