@@ -10,8 +10,8 @@
                        a run record to BENCH_sweep.json
      certify           DRAT certification overhead (proof logging on vs off);
                        appends a run record to BENCH_certify.json
-     inprocess         SAT inprocessing A/B on hard Table 2 cells (all passes
-                       on vs all off); appends a run record to
+     inprocess         SAT inprocessing A/B on hard Table 2 cells (probing
+                       on vs off); appends a run record to
                        BENCH_inprocess.json and exits 1 if the geomean
                        speedup falls below 1.3x
      explain           unsat-core extraction overhead on infeasible cells
@@ -673,16 +673,14 @@ let run_explain opts =
    a logged skip, because a benchmark must run everywhere. *)
 let run_crosscheck opts =
   let module Backend = Cgra_backend.Backend in
-  let module Registry = Cgra_backend.Registry in
   Printf.printf "== Cross-check: native-sat vs %s (%dx%d, limit %.0fs) ==\n" opts.backend
     opts.size opts.size opts.limit;
-  match Registry.find opts.backend with
-  | None ->
-      Printf.eprintf "crosscheck: unknown backend %S (known: %s)\n%!" opts.backend
-        (String.concat ", " (Registry.names ()));
+  match Sweep_runner.variant_of_name opts.backend with
+  | Error msg ->
+      Printf.eprintf "crosscheck: %s\n%!" msg;
       exit 2
-  | Some b -> (
-      match b.Backend.available () with
+  | Ok variant -> (
+      match IM.available variant.Sweep_runner.engine with
       | Backend.Unavailable reason ->
           Printf.printf "crosscheck: skipped — backend %s unavailable (%s)\n\n%!" opts.backend
             reason
@@ -702,9 +700,7 @@ let run_crosscheck opts =
           List.iter
             (fun job ->
               let native = Sweep_runner.run job in
-              let ext =
-                Sweep_runner.run_variant (Sweep_runner.backend_variant opts.backend) job
-              in
+              let ext = Sweep_runner.run_variant variant job in
               let agreed =
                 Sweep_record.verdicts_agree ~status:native.Sweep_record.status
                   ~objective:native.Sweep_record.objective ~status2:ext.Sweep_record.status
@@ -1098,9 +1094,9 @@ let run_conn opts =
   Cgra_conn.Conn.ensure_registered ();
   Printf.printf "== Formulation A/B: paper vs conn (limit %.0fs) ==\n" opts.limit;
   let impl name =
-    match FI.find name with
-    | Some impl -> impl
-    | None -> failwith (Printf.sprintf "bench conn: formulation %S not registered" name)
+    match IM.find_formulation (Some name) with
+    | Ok impl -> impl
+    | Error msg -> failwith ("bench conn: " ^ msg)
   in
   let paper = impl FI.default_name and conn = impl Cgra_conn.Conn.formulation_name in
   (* feasible and infeasible cells, both context counts; the 2x2 mac

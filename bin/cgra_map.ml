@@ -20,16 +20,15 @@ module Mapping = Cgra_core.Mapping
 module Lp_format = Cgra_ilp.Lp_format
 module Deadline = Cgra_util.Deadline
 module Backend = Cgra_backend.Backend
-module Registry = Cgra_backend.Registry
 module Jsonl = Cgra_sweep.Jsonl
 module Serve_protocol = Cgra_serve.Protocol
 module Serve_server = Cgra_serve.Server
 module Serve_client = Cgra_serve.Client
 open Cmdliner
 
-(* The conn library registers its formulation and backends at module
-   init; nothing here references its modules directly, so force the
-   link explicitly or the registry never sees it. *)
+(* The conn library registers its formulation at module init; nothing
+   here references its modules directly, so force the link explicitly
+   or the registry never sees it. *)
 let () = Cgra_conn.Conn.ensure_registered ()
 
 (* Exit codes: 0 ok, 1 error, 3 undecided (timeout / incomplete
@@ -157,9 +156,10 @@ let certify_arg =
 
 let backend_arg =
   let doc =
-    "Solver backend (see $(b,backends)): a native engine (native-sat, native-bnb) or an \
-     external MILP solver (highs, cbc, scip) run as a subprocess over the LP export, with \
-     its answer replayed through the independent checkers."
+    "Solver (see $(b,backends)): an in-process engine (native-sat, native-bnb), the \
+     connectivity formulation on one (conn-sat, conn-bnb), or an external MILP solver \
+     (highs, cbc, scip) run as a subprocess over the LP export, with its answer replayed \
+     through the independent checkers."
   in
   Arg.(value & opt (some string) None & info [ "backend" ] ~docv:"NAME" ~doc)
 
@@ -201,14 +201,19 @@ let map_cmd =
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
+    let backend_error msg =
+      prerr_endline ("backend error: " ^ msg);
+      exit 1
+    in
+    let formulation, engine =
+      match IM.resolve ?formulation (Option.value backend ~default:"native-sat") with
+      | Ok selection -> selection
+      | Error msg -> backend_error msg
+    in
     let t0 = Deadline.now () in
     let result =
-      try
-        IM.map ~objective ?backend ?formulation ~deadline:(deadline_of limit) ~certify dfg
-          mrrg
-      with Backend.Error msg ->
-        prerr_endline ("backend error: " ^ msg);
-        exit 1
+      try IM.map ~objective ~engine ?formulation ~deadline:(deadline_of limit) ~certify dfg mrrg
+      with Backend.Error msg -> backend_error msg
     in
     if json then begin
       print_verdict_json ~engine:(Option.value backend ~default:"sat") ~t0 result;
@@ -253,23 +258,28 @@ let backends_cmd =
   let run () =
     Printf.printf "%-12s %-11s %-14s %s\n" "Name" "Kind" "Status" "Description";
     List.iter
-      (fun (b : Backend.t) ->
+      (fun (s : IM.selection) ->
+        let kind =
+          match (s.IM.engine, s.IM.formulation) with
+          | IM.External _, _ -> "external"
+          | IM.Native _, None -> "native"
+          | IM.Native _, Some _ -> "formulation"
+        in
         let status, detail =
-          match b.Backend.available () with
+          match IM.available s.IM.engine with
           | Backend.Available { version = Some v } -> ("available", Printf.sprintf " [%s]" v)
           | Backend.Available { version = None } -> ("available", "")
           | Backend.Unavailable why -> ("missing", Printf.sprintf " (%s)" why)
         in
-        Printf.printf "%-12s %-11s %-14s %s%s\n" b.Backend.name
-          (Backend.kind_name b.Backend.kind)
-          status b.Backend.doc detail)
-      (Registry.all ())
+        Printf.printf "%-12s %-11s %-14s %s%s\n" s.IM.name kind status s.IM.doc detail)
+      (IM.selections ())
   in
   Cmd.v
     (Cmd.info "backends"
        ~doc:
-         "List the solver backends: the built-in exact engines and the external MILP \
-          adapters, with PATH discovery and version capture for the external binaries.")
+         "List the solver names $(b,--backend) accepts: the in-process exact engines, the \
+          connectivity formulation on each, and the external MILP adapters, with PATH \
+          discovery and version capture for the external binaries.")
     Term.(const run $ const ())
 
 let explain_cmd =
@@ -647,16 +657,7 @@ let lp_cmd =
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
-    let fname = Option.value formulation ~default:Formulation_intf.default_name in
-    let impl =
-      match Formulation_intf.find fname with
-      | Some impl -> impl
-      | None ->
-          or_die
-            (Error
-               (Printf.sprintf "unknown formulation %S (known: %s)" fname
-                  (String.concat ", " (Formulation_intf.names ()))))
-    in
+    let impl = or_die (IM.find_formulation formulation) in
     let f = impl.Formulation_intf.build ~objective dfg mrrg in
     print_string (Lp_format.to_string f.Formulation_intf.model)
   in
@@ -736,21 +737,19 @@ let sweep_cmd =
   let run jobs portfolio certify explain cross_check racer_backends resume out table benchmarks
       archs contexts limit size =
     let contexts = if contexts = [] then [ 1; 2 ] else contexts in
-    (* Unknown backend names die before, not three hours into, the sweep. *)
-    List.iter
-      (fun name ->
-        if Registry.find name = None then begin
-          Printf.eprintf "sweep: unknown backend %S (known: %s)\n%!" name
-            (String.concat ", " (Registry.names ()));
+    (* Unknown solver names die before, not three hours into, the sweep. *)
+    let variant name =
+      match Cgra_sweep.Runner.variant_of_name name with
+      | Ok v -> v
+      | Error msg ->
+          Printf.eprintf "sweep: %s\n%!" msg;
           exit 1
-        end)
-      (Option.to_list cross_check @ racer_backends);
+    in
+    let cross_check = Option.map variant cross_check in
     let racers =
-      match racer_backends with
+      match List.map variant racer_backends with
       | [] -> []
-      | backends ->
-          Cgra_sweep.Runner.default_racers (Domain.recommended_domain_count ())
-          @ List.map Cgra_sweep.Runner.backend_variant backends
+      | extra -> Cgra_sweep.Runner.default_racers (Domain.recommended_domain_count ()) @ extra
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
     let skip =

@@ -1,6 +1,4 @@
-let builtin = [ Native.sat; Native.bnb; Milp_adapter.highs; Milp_adapter.cbc; Milp_adapter.scip ]
-
-let default_name = "native-sat"
+let builtin = [ Milp_adapter.highs; Milp_adapter.cbc; Milp_adapter.scip ]
 
 let lock = Mutex.create ()
 let registered : Backend.t list ref = ref []
@@ -15,10 +13,6 @@ let all () =
       let shadowed = List.map (fun (b : Backend.t) -> b.Backend.name) extra in
       List.filter (fun (b : Backend.t) -> not (List.mem b.Backend.name shadowed)) builtin
       @ extra)
-
-let names () = List.map (fun (b : Backend.t) -> b.Backend.name) (all ())
-
-let find name = List.find_opt (fun (b : Backend.t) -> b.Backend.name = name) (all ())
 
 let register b =
   locked (fun () ->

@@ -1,24 +1,16 @@
-(** The backend registry: name → {!Backend.t}.
+(** The external-solver registry: name → {!Backend.t}.
 
-    Ships with the two native engines and the three external MILP
-    adapters; {!register} adds (or replaces) entries at runtime — used
-    by tests to inject adversarial backends and available to embedders
-    as a plugin point.  All operations are mutex-protected and safe to
-    call from any domain. *)
-
-val builtin : Backend.t list
-(** [native-sat; native-bnb; highs; cbc; scip], in that order. *)
+    Ships with the three external MILP adapters; {!register} adds (or
+    replaces) entries at runtime — used by tests to inject adversarial
+    backends and available to embedders as a plugin point.  All
+    operations are mutex-protected and safe to call from any domain.
+    Solver names are read by [Cgra_core.Ilp_mapper.resolve], which
+    adds the in-process engines' names to the ones held here. *)
 
 val all : unit -> Backend.t list
-(** Built-ins plus runtime registrations, registration order;
-    a registered backend shadows a built-in of the same name. *)
-
-val names : unit -> string list
-
-val find : string -> Backend.t option
+(** The built-ins [highs; cbc; scip], then runtime registrations in
+    registration order; a registered backend shadows a built-in of the
+    same name. *)
 
 val register : Backend.t -> unit
 (** Add a backend, replacing any previous entry with the same name. *)
-
-val default_name : string
-(** ["native-sat"] — what an unqualified mapper call uses. *)

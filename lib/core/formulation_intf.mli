@@ -1,7 +1,7 @@
 (** The formulation seam: "compile DFG × MRRG into a 0-1 model" as a
     first-class, registered value.
 
-    {!Cgra_backend.Registry} made the {e solver} pluggable; this
+    {!Ilp_mapper.engine} makes the {e solver} pluggable; this
     registry makes the {e constraint structure} pluggable.  A
     formulation packages everything {!Ilp_mapper.map} needs beyond the
     model itself — solution extraction, warm-start phase seeding, and

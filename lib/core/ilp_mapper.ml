@@ -65,102 +65,67 @@ let diagnose ?deadline (f : Formulation_intf.built) (core : Unsat_core.core) =
     conflict_resources = List.rev !resources;
   }
 
-(* Solve through an external backend: LP export, subprocess, replayed
-   solution (see {!Cgra_backend.Milp_adapter}).  The mapping extracted
-   from a replayed assignment still goes through {!Check.run} below, so
-   a Mapped verdict carries the same evidence as the native path; an
-   Infeasible verdict is the external solver's word — uncertified, and
-   exactly what [sweep --cross-check] exists to diff. *)
-let solve_external ?deadline ~objective ~explain (b : Backend.t)
-    (f : Formulation_intf.built) ~build_seconds ~build_phases =
-  let report = b.Backend.solve ?deadline f.Formulation_intf.model in
-  let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
-    {
-      size = f.Formulation_intf.size;
-      solve_seconds = report.Backend.wall_seconds;
-      build_seconds;
-      build_phases;
-      objective_value;
-      proven_optimal;
-      sat_calls = 0;
-      presolve_fixed = 0;
-      certified;
-      proof_steps = 0;
-      inprocess = [];
-      diagnosis;
-    }
-  in
-  match report.Backend.outcome with
-  | Solve.Infeasible ->
-      let diagnosis =
-        (* the explanation machinery is native and engine-independent:
-           it re-derives the core from the model, so it can explain an
-           externally-proven infeasibility too *)
-        if not explain then None
-        else
-          match Unsat_core.extract ?deadline ~minimize:true f.Formulation_intf.model with
-          | Unsat_core.Core core -> Some (diagnose ?deadline f core)
-          | Unsat_core.Satisfiable ->
-              failwith
-                (Printf.sprintf
-                   "Ilp_mapper: native core extraction refuted backend %s's infeasibility \
-                    (cross-engine disagreement)"
-                   b.Backend.name)
-          | Unsat_core.Unknown -> None
-      in
-      Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified:false ())
-  | Solve.Timeout ->
-      Timeout (info ~objective_value:None ~proven_optimal:false ~certified:false ())
-  | Solve.Optimal (assign, obj) | Solve.Feasible (assign, obj) ->
-      let proven_optimal =
-        match report.Backend.outcome with Solve.Optimal _ -> true | _ -> false
-      in
-      let mapping = f.Formulation_intf.extract assign in
-      (match Check.run mapping with
-      | Ok () -> ()
-      | Error errs ->
-          failwith
-            (Printf.sprintf
-               "Ilp_mapper: backend %s returned a replayed assignment whose mapping fails the \
-                independent checker: %s"
-               b.Backend.name (String.concat "; " errs)));
-      let objective_value =
-        match objective with Formulation.Feasibility -> None | _ -> Some obj
-      in
-      Mapped (mapping, info ~objective_value ~proven_optimal ~certified:true ())
+type engine = Native of Solve.engine | External of Backend.t
 
-let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?deadline
-    ?cancel ?prune ?(warm_start = 5.0) ?(certify = false) ?(explain = false) ?inprocess
-    dfg mrrg =
-  let engine, external_backend, formulation =
-    match backend with
-    | None -> (engine, None, formulation)
-    | Some name -> (
-        match Registry.find name with
-        | None ->
-            raise
-              (Backend.Error
-                 (Printf.sprintf "unknown backend %S (known: %s)" name
-                    (String.concat ", " (Registry.names ()))))
-        | Some b -> (
-            match b.Backend.kind with
-            | Backend.Native e -> (Some e, None, formulation)
-            | Backend.External _ -> (engine, Some b, formulation)
-            | Backend.Formulation { formulation = fname; engine = e } ->
-                (* a formulation backend is a (formulation, native
-                   engine) pair; it overrides an explicit ?formulation
-                   because the backend name is the more specific ask *)
-                (Some e, None, Some fname)))
+type selection = { name : string; doc : string; formulation : string option; engine : engine }
+
+(* The in-process names.  [conn-*] pair the connectivity formulation
+   (registered by Cgra_conn under "conn") with a native engine. *)
+let natives =
+  let native name formulation engine doc = { name; doc; formulation; engine = Native engine } in
+  [
+    native "native-sat" None Solve.Sat_backed "built-in CDCL SAT engine with totalizer descent";
+    native "native-bnb" None Solve.Branch_and_bound "built-in pseudo-boolean branch-and-bound";
+    native "conn-sat" (Some "conn") Solve.Sat_backed
+      "connectivity formulation on the built-in CDCL SAT engine";
+    native "conn-bnb" (Some "conn") Solve.Branch_and_bound
+      "connectivity formulation on the built-in branch-and-bound";
+  ]
+
+let selections () =
+  let externals =
+    List.map
+      (fun (b : Backend.t) ->
+        { name = b.Backend.name; doc = b.Backend.doc; formulation = None; engine = External b })
+      (Registry.all ())
   in
+  let shadowed s = List.exists (fun e -> e.name = s.name) externals in
+  List.filter (fun s -> not (shadowed s)) natives @ externals
+
+let resolve ?formulation name =
+  let all = selections () in
+  match List.find_opt (fun s -> s.name = name) all with
+  | None ->
+      Error
+        (Printf.sprintf "unknown backend %S (known: %s)" name
+           (String.concat ", " (List.map (fun s -> s.name) all)))
+  | Some s -> (
+      match (formulation, s.formulation) with
+      | Some asked, Some implied when asked <> implied ->
+          Error (Printf.sprintf "backend %S runs formulation %S, not %S" name implied asked)
+      | _, Some _ -> Ok (s.formulation, s.engine)
+      | _, None -> Ok (formulation, s.engine))
+
+let available = function
+  | Native _ -> Backend.Available { version = None }
+  | External b -> b.Backend.available ()
+
+let find_formulation name =
+  let name = Option.value name ~default:Formulation_intf.default_name in
+  match Formulation_intf.find name with
+  | Some impl -> Ok impl
+  | None ->
+      Error
+        (Printf.sprintf "unknown formulation %S (known: %s)" name
+           (String.concat ", " (Formulation_intf.names ())))
+
+let map ?(objective = Formulation.Feasibility) ?(engine = Native Solve.Sat_backed) ?formulation
+    ?deadline ?cancel ?prune ?(warm_start = 5.0) ?(certify = false) ?(explain = false) ?inprocess
+    dfg mrrg =
   let impl =
-    let fname = Option.value formulation ~default:Formulation_intf.default_name in
-    match Formulation_intf.find fname with
-    | Some impl -> impl
-    | None ->
-        raise
-          (Backend.Error
-             (Printf.sprintf "unknown formulation %S (known: %s)" fname
-                (String.concat ", " (Formulation_intf.names ()))))
+    match find_formulation formulation with
+    | Ok impl -> impl
+    | Error msg -> raise (Backend.Error msg)
   in
   let attach d = match cancel with None -> d | Some f -> Deadline.with_cancellation d f in
   let deadline = Option.map attach deadline in
@@ -173,22 +138,41 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
   let f = impl.Formulation_intf.build ~objective ?prune dfg mrrg in
   let build_phases = f.Formulation_intf.phases in
   (* phase hints mean nothing to a subprocess solver *)
-  let warm_start = if external_backend <> None then 0.0 else warm_start in
+  let warm_start = match engine with External _ -> 0.0 | Native _ -> warm_start in
   if warm_start > 0.0 then begin
     let params = if warm_start >= 20.0 then Anneal.thorough else Anneal.moderate in
-    match
-      Anneal.map ~params ~deadline:(attach (Deadline.after ~seconds:warm_start)) dfg mrrg
-    with
+    (* the warm start spends the request's budget, never more than is left of it *)
+    let seconds =
+      match Option.bind deadline Deadline.remaining with
+      | Some left -> Float.min warm_start left
+      | None -> warm_start
+    in
+    match Anneal.map ~params ~deadline:(attach (Deadline.after ~seconds)) dfg mrrg with
     | Anneal.Mapped (m, _) -> f.Formulation_intf.warm m
     | Anneal.Failed _ -> ()
   end;
   let build_seconds = Deadline.elapsed_of ~start:t0 in
-  match external_backend with
-  | Some b -> solve_external ?deadline ~objective ~explain b f ~build_seconds ~build_phases
-  | None ->
-  let proof = if certify then Some (Proof.create ()) else None in
-  let report =
-    Solve.solve_report ?deadline ?engine ?proof ?inprocess f.Formulation_intf.model
+  (* only the in-process engines log DRAT inferences *)
+  let proof =
+    match engine with Native _ when certify -> Some (Proof.create ()) | _ -> None
+  in
+  let report, solver =
+    match engine with
+    | Native engine ->
+        (Solve.solve_report ?deadline ~engine ?proof ?inprocess f.Formulation_intf.model, "engine")
+    | External b ->
+        (* an external answer is a bare outcome: no SAT calls, presolve
+           or inprocessing counters to report *)
+        let t = Deadline.now () in
+        let outcome = b.Backend.solve ?deadline f.Formulation_intf.model in
+        ( {
+            Solve.outcome;
+            solve_seconds = Deadline.elapsed_of ~start:t;
+            sat_calls = 0;
+            presolve_fixed = 0;
+            inprocess = [];
+          },
+          "backend " ^ b.Backend.name )
   in
   let proof_steps = match proof with Some p -> Proof.n_steps p | None -> 0 in
   let info ?diagnosis ~objective_value ~proven_optimal ~certified () =
@@ -211,7 +195,8 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
   | Solve.Infeasible ->
       (* A certified infeasibility must carry a complete DRAT refutation
          that the independent checker accepts — the negative-verdict
-         twin of the Check.run pass below. *)
+         twin of the Check.run pass below.  Without a proof (no
+         [certify], or an external solver's word) it stays uncertified. *)
       let certified =
         match proof with
         | None -> false
@@ -225,13 +210,18 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
                   (Printf.sprintf
                      "Ilp_mapper: solver produced an invalid DRAT certificate (bug): %s" msg))
       in
+      (* the explanation machinery is native and engine-independent: it
+         re-derives the core from the model, so it explains an
+         externally proven infeasibility too *)
       let diagnosis =
         if not explain then None
         else
           match Unsat_core.extract ?deadline ~minimize:true f.Formulation_intf.model with
           | Unsat_core.Core core -> Some (diagnose ?deadline f core)
           | Unsat_core.Satisfiable ->
-              failwith "Ilp_mapper: core extraction refuted the engine's infeasibility (bug)"
+              failwith
+                (Printf.sprintf "Ilp_mapper: core extraction refuted the %s's infeasibility"
+                   solver)
           | Unsat_core.Unknown -> None
       in
       Infeasible (info ?diagnosis ~objective_value:None ~proven_optimal:true ~certified ())
@@ -246,8 +236,9 @@ let map ?(objective = Formulation.Feasibility) ?engine ?backend ?formulation ?de
       | Ok () -> ()
       | Error errs ->
           failwith
-            (Printf.sprintf "Ilp_mapper: solver returned an illegal mapping (bug): %s"
-               (String.concat "; " errs)));
+            (Printf.sprintf
+               "Ilp_mapper: the %s returned a mapping the independent checker rejects: %s"
+               solver (String.concat "; " errs)));
       let objective_value =
         match objective with Formulation.Feasibility -> None | _ -> Some obj
       in

@@ -63,10 +63,49 @@ type result =
   | Infeasible of info
   | Timeout of info
 
+type engine =
+  | Native of Cgra_ilp.Solve.engine
+      (** an in-process exact engine ({!Cgra_ilp.Solve.solve_report}) *)
+  | External of Cgra_backend.Backend.t
+      (** an external MILP solver run as a subprocess over the LP
+          export ({!Cgra_backend.Milp_adapter}) *)
+(** Who decides the compiled model.  The formulation — which model is
+    compiled — is the other, independent half of a solver selection. *)
+
+type selection = {
+  name : string;  (** e.g. ["native-sat"], ["conn-bnb"], ["highs"] *)
+  doc : string;  (** one-line description for [cgra_map backends] *)
+  formulation : string option;
+      (** the {!Formulation_intf} entry the name implies, if any *)
+  engine : engine;
+}
+(** One solver name as {!resolve} reads it. *)
+
+val selections : unit -> selection list
+(** Every name {!resolve} accepts: the in-process names first
+    (["native-sat"], ["native-bnb"], and ["conn-sat"]/["conn-bnb"] —
+    formulation ["conn"] on the same two engines), then
+    {!Cgra_backend.Registry.all}.  A registry entry, runtime
+    registrations included, shadows an in-process name it repeats. *)
+
+val resolve : ?formulation:string -> string -> (string option * engine, string) Stdlib.result
+(** [resolve ?formulation name] is the formulation and engine the
+    solver [name] selects, ready for [map ?formulation ~engine]: the
+    formulation [name] implies, else the [formulation] given.  [Error]
+    names the problem: an unknown [name] (listing the known ones), or a
+    [name] whose implied formulation contradicts the given one. *)
+
+val available : engine -> Cgra_backend.Backend.availability
+(** In-process engines are always available; an external one probes
+    its binary now. *)
+
+val find_formulation : string option -> (Formulation_intf.impl, string) Stdlib.result
+(** The {!Formulation_intf} entry of that name (default
+    {!Formulation_intf.default_name}); [Error] lists the known names. *)
+
 val map :
   ?objective:Formulation.objective ->
-  ?engine:Cgra_ilp.Solve.engine ->
-  ?backend:string ->
+  ?engine:engine ->
   ?formulation:string ->
   ?deadline:Cgra_util.Deadline.t ->
   ?cancel:bool Atomic.t ->
@@ -78,31 +117,11 @@ val map :
   Dfg.t ->
   Mrrg.t ->
   result
-(** Defaults: [Feasibility] objective (a Table 2 style query),
-    SAT-backed engine, no deadline, corridor pruning on.  Mappings are
-    checked with {!Check} before being returned.
-
-    [backend] selects a solver backend from
-    {!Cgra_backend.Registry} by name.  A native backend
-    (["native-sat"], ["native-bnb"]) routes through the standard
-    in-process path with the corresponding engine — [certify],
-    [explain] and [warm_start] all work.  An external backend
-    (["highs"], ["cbc"], ["scip"]) exports the model as an LP file,
-    runs the solver as a subprocess under the deadline, and replays the
-    parsed answer: the assignment is checked row-by-row against the
-    model, the objective is recomputed, and the extracted mapping must
-    pass {!Check.run}, so a [Mapped] verdict is [certified] exactly
-    like a native one.  An external [Infeasible] is the solver's word
-    and stays [certified = false] (no DRAT trace exists); [explain]
-    still works (the native core extractor re-derives the conflict),
-    and the sweep's [--cross-check] exists to diff such verdicts.
-    [warm_start] is forced to 0 on external backends.  A formulation
-    backend (["conn-sat"], ["conn-bnb"]) names a
-    {!Formulation_intf} entry plus a native engine and routes through
-    the standard in-process path — [certify], [explain] and
-    [warm_start] all work, exactly as for a native backend.
-    @raise Cgra_backend.Backend.Error on an unknown backend name, a
-    missing solver binary, or an external answer that fails replay.
+(** Defaults: [Feasibility] objective (a Table 2 style query), the
+    paper's formulation, [Native Sat_backed], no deadline, corridor
+    pruning on.  Mappings are checked with {!Check} before being
+    returned.  Use {!resolve} to turn a solver name into
+    [formulation] and [engine].
 
     [formulation] selects the constraint structure by
     {!Formulation_intf} registry name (default
@@ -110,9 +129,20 @@ val map :
     model).  Every downstream stage — presolve, SAT encoding,
     certification, explanation, {!Check.run} validation — is
     formulation-agnostic, so any registered formulation gets the full
-    pipeline.  When [backend] names a formulation backend, that wins
-    over [formulation].
-    @raise Cgra_backend.Backend.Error on an unknown formulation name.
+    pipeline.
+
+    [engine] decides the compiled model.  Whatever decides it, one path
+    turns the answer into a verdict: the extracted mapping of a
+    feasible answer must pass {!Check.run}, so a [Mapped] verdict is
+    [certified] alike for every engine.  An [External] engine exports
+    the model as an LP file, runs the solver under the deadline and
+    replays the parsed answer row by row against the model before
+    anything is believed.  Its [Infeasible] is the solver's word and
+    stays [certified = false] (no DRAT trace exists; [sweep
+    --cross-check] exists to diff such verdicts), and it gets no warm
+    start.
+    @raise Cgra_backend.Backend.Error on an unknown formulation name, a
+    missing solver binary, or an external answer that fails replay.
 
     {b Reentrancy.}  [map] is the single-job entry point of the
     parallel sweep engine: it holds no global mutable state — the
@@ -130,27 +160,31 @@ val map :
     [warm_start] (default 5 seconds; 0 disables) bounds a quick
     annealing attempt whose verified solution, when found, seeds the
     exact engine's variable phases — the standard embedded-heuristic
-    warm start of production MIP solvers.  Completeness is unaffected:
-    the answer is still decided by the exact engine.
+    warm start of production MIP solvers.  It never outlives
+    [deadline]: the attempt gets at most what remains of it.
+    Completeness is unaffected: the answer is still decided by the
+    exact engine.
 
-    [certify] (default [false]) makes an [Infeasible] verdict carry a
-    DRAT refutation, independently re-validated by
-    {!Cgra_satoca.Drat.check} before the call returns; presolve is
-    bypassed for the certified solve and the B&B engine cross-certifies
-    through a proof-logging SAT run (see {!Cgra_ilp.Solve.solve}).
-    [info.certified] reports whether the returned verdict carries
-    validated evidence; a certificate cut short by the deadline yields
-    [certified = false], not a failure.
+    [certify] (default [false]) makes an in-process engine's
+    [Infeasible] verdict carry a DRAT refutation, independently
+    re-validated by {!Cgra_satoca.Drat.check} before the call returns;
+    presolve is bypassed for the certified solve and the B&B engine
+    cross-certifies through a proof-logging SAT run (see
+    {!Cgra_ilp.Solve.solve}).  [info.certified] reports whether the
+    returned verdict carries validated evidence; a certificate cut
+    short by the deadline yields [certified = false], not a failure.
 
     [explain] (default [false]) makes an [Infeasible] verdict carry a
     {!diagnosis}: a group-level unsat core extracted with
     {!Cgra_ilp.Unsat_core}, minimized and independently re-verified
     under the same deadline, then translated back to DFG/MRRG terms.
-    A deadline hit during extraction leaves [diagnosis = None].
-    @raise Failure if the solver returns an assignment the independent
+    The extraction is in-process whatever the engine, so it explains an
+    external solver's infeasibility too.  A deadline hit during
+    extraction leaves [diagnosis = None].
+    @raise Failure if the engine returns an assignment the independent
     checker rejects, a DRAT certificate the independent checker
-    refutes, or an unsat core that re-solves satisfiable (each would be
-    a bug, not an input error). *)
+    refutes, or an infeasibility the core extraction refutes (each
+    would be a bug, not an input error). *)
 
 val result_feasible : result -> bool
 val pp_result : Format.formatter -> result -> unit

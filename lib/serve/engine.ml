@@ -97,8 +97,13 @@ let handle_map_exn t (m : Protocol.map_request) =
               let objective =
                 if m.Protocol.optimize then Formulation.Min_routing else Formulation.Feasibility
               in
+              let formulation, engine =
+                match IM.resolve (Option.value m.Protocol.backend ~default:"native-sat") with
+                | Ok selection -> selection
+                | Error msg -> raise (Backend.Error msg)
+              in
               let result =
-                IM.map ~objective ?backend:m.Protocol.backend ~deadline ~warm_start:0.0
+                IM.map ~objective ?formulation ~engine ~deadline ~warm_start:0.0
                   ~certify:m.Protocol.certify ~explain:m.Protocol.explain dfg mrrg
               in
               let engine =

@@ -29,7 +29,8 @@ val create : ?mrrg_capacity:int -> ?session_capacity:int -> ?max_limit:float -> 
 val handle_map : t -> Protocol.map_request -> (Protocol.verdict, string * string) result
 (** Execute one mapping request.  [Error (code, message)] uses the
     protocol error codes ([bad_request] for unresolvable names or
-    invalid parameters, [backend] for external-solver failures,
+    invalid parameters, [backend] for unknown solver names and
+    external-solver failures,
     [internal] for unexpected exceptions — the daemon must survive any
     single request). *)
 

@@ -14,7 +14,8 @@
     - ["bad_request"] — well-formed request naming an unknown
       benchmark/architecture or carrying invalid parameters;
     - ["busy"] — request queue full, retry later;
-    - ["backend"] — an external solver backend failed;
+    - ["backend"] — an unknown solver name, or an external solver
+      backend failed;
     - ["internal"] — unexpected server-side exception;
     - ["shutting_down"] — the daemon is draining. *)
 
@@ -32,7 +33,8 @@ type map_request = {
   optimize : bool;  (** minimise routing cost (bypasses the session cache) *)
   certify : bool;  (** DRAT-certified infeasibility (bypasses the session cache) *)
   explain : bool;  (** unsat-core diagnosis (bypasses the session cache) *)
-  backend : string option;  (** named solver backend (bypasses the session cache) *)
+  backend : string option;
+      (** solver name, e.g. ["conn-sat"], ["highs"] (bypasses the session cache) *)
 }
 
 type payload = Map of map_request | Stats | Shutdown | Ping

@@ -17,7 +17,7 @@
       clause sets, hence sound for every later solve ([warm_start]).
 
     Sessions answer {e feasibility} queries only; optimisation,
-    certification, explanation and external backends take the
+    certification, explanation and named solvers take the
     stateless one-shot path (their solver lifecycles are
     query-specific).
 

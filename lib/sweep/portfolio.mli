@@ -16,18 +16,17 @@
 
 val race :
   ?variants:Runner.variant list ->
-  ?backends:string list ->
   ?certify:bool ->
   ?explain:bool ->
   Job.t ->
   Record.t
 (** Race [variants] — by default {!Runner.default_racers} sized from
     [Domain.recommended_domain_count ()], so wide machines field more
-    racers automatically.  [backends] appends one extra racer per
-    solver-backend name (see {!Runner.backend_variant}), letting an
-    external MILP solver compete with the native engines; an external
-    racer that errors (missing binary, bad answer) simply never becomes
-    definitive and cannot poison the race.
+    racers automatically.  A variant from {!Runner.variant_of_name}
+    lets an external MILP solver or the connectivity formulation
+    compete with the native engines; a racer that errors (missing
+    binary, bad answer) simply never becomes definitive and cannot
+    poison the race.
     [certify] requests DRAT-certified verdicts from every racer (see
     {!Runner.run_variant}); the winner's [certified] field is reported.
     [explain] asks each racer for a constraint-group unsat core on an

@@ -10,16 +10,22 @@ module Check = Cgra_core.Check
 module Solve = Cgra_ilp.Solve
 module Deadline = Cgra_util.Deadline
 
-type kind =
-  | Engine of { engine : Solve.engine; warm_start : float }
-  | Backend of string
+type variant = {
+  name : string;
+  formulation : string option;
+  engine : IM.engine;
+  warm_start : float;
+}
 
-type variant = { name : string; kind : kind }
+let native ?(warm_start = 0.0) name engine =
+  { name; formulation = None; engine = IM.Native engine; warm_start }
 
-let engine_variant ?(warm_start = 0.0) name engine = { name; kind = Engine { engine; warm_start } }
-let backend_variant name = { name; kind = Backend name }
+let variant_of_name name =
+  Result.map
+    (fun (formulation, engine) -> { name; formulation; engine; warm_start = 5.0 })
+    (IM.resolve name)
 
-let default_variant = engine_variant ~warm_start:5.0 "sat" Solve.Sat_backed
+let default_variant = native ~warm_start:5.0 "sat" Solve.Sat_backed
 
 (* The portfolio: the SAT engine raced cold (fast on easy cells and on
    infeasibility proofs, where warm-start time is pure loss) and warm
@@ -27,9 +33,9 @@ let default_variant = engine_variant ~warm_start:5.0 "sat" Solve.Sat_backed
    engine as a third, structurally different prover. *)
 let portfolio_variants =
   [
-    engine_variant "sat-cold" Solve.Sat_backed;
-    engine_variant ~warm_start:5.0 "sat-warm" Solve.Sat_backed;
-    engine_variant "bnb" Solve.Branch_and_bound;
+    native "sat-cold" Solve.Sat_backed;
+    native ~warm_start:5.0 "sat-warm" Solve.Sat_backed;
+    native "bnb" Solve.Branch_and_bound;
   ]
 
 (* Priority-ordered pool for machine-sized races: the three core
@@ -38,8 +44,8 @@ let portfolio_variants =
 let racer_pool =
   portfolio_variants
   @ [
-      engine_variant ~warm_start:1.0 "sat-eager" Solve.Sat_backed;
-      engine_variant ~warm_start:15.0 "sat-patient" Solve.Sat_backed;
+      native ~warm_start:1.0 "sat-eager" Solve.Sat_backed;
+      native ~warm_start:15.0 "sat-patient" Solve.Sat_backed;
     ]
 
 let default_racers n =
@@ -113,22 +119,15 @@ let run_variant ?cancel ?certify ?explain (variant : variant) (job : Job.t) =
   match prepare job with
   | Error msg -> Record.error job msg
   | Ok (dfg, mrrg) -> (
-      let result =
-        match variant.kind with
-        | Engine { engine; warm_start } ->
-            let warm_start =
-              if job.Job.limit > 0.0 then Float.min warm_start (job.Job.limit /. 4.0)
-              else warm_start
-            in
-            fun () ->
-              IM.map ~objective:Formulation.Feasibility ~engine ~deadline:(deadline_of job)
-                ?cancel ~warm_start ?certify ?explain dfg mrrg
-        | Backend backend ->
-            fun () ->
-              IM.map ~objective:Formulation.Feasibility ~backend ~deadline:(deadline_of job)
-                ?cancel ?certify ?explain dfg mrrg
+      let warm_start =
+        if job.Job.limit > 0.0 then Float.min variant.warm_start (job.Job.limit /. 4.0)
+        else variant.warm_start
       in
-      match result () with
+      match
+        IM.map ~objective:Formulation.Feasibility ?formulation:variant.formulation
+          ~engine:variant.engine ~deadline:(deadline_of job) ?cancel ~warm_start ?certify
+          ?explain dfg mrrg
+      with
       | result ->
           record_of_result job ~engine:variant.name
             ~total_seconds:(Deadline.elapsed_of ~start:t0) result

@@ -1,6 +1,7 @@
 (** Single-job execution: resolve a {!Job.t}'s benchmark and
-    architecture names, elaborate the MRRG, run one exact engine (or an
-    external solver backend), and fold the answer into a {!Record.t}.
+    architecture names, elaborate the MRRG, run one solver variant
+    (an in-process exact engine or an external solver), and fold the
+    answer into a {!Record.t}.
 
     Runs are hermetic by construction — every invocation builds its own
     DFG, architecture and MRRG, so concurrent invocations on separate
@@ -8,24 +9,20 @@
     mutable state.  Exceptions never escape: any failure becomes an
     [Error] record. *)
 
-type kind =
-  | Engine of { engine : Cgra_ilp.Solve.engine; warm_start : float }
-      (** in-process exact engine; [warm_start] is the annealing
-          warm-start budget in seconds (clamped to a quarter of the
-          job's limit) *)
-  | Backend of string
-      (** a {!Cgra_backend.Registry} backend by name — typically an
-          external MILP solver subprocess *)
+type variant = {
+  name : string;  (** recorded as the engine in the journal *)
+  formulation : string option;  (** see {!Cgra_core.Ilp_mapper.map} *)
+  engine : Cgra_core.Ilp_mapper.engine;
+  warm_start : float;
+      (** annealing warm-start budget in seconds, clamped to a quarter
+          of the job's limit *)
+}
+(** One way to solve a job: a formulation × engine selection plus its
+    warm-start budget. *)
 
-type variant = { name : string; kind : kind }
-(** [name] is recorded as the winning engine in the journal. *)
-
-val engine_variant : ?warm_start:float -> string -> Cgra_ilp.Solve.engine -> variant
-(** [warm_start] defaults to 0 (no warm start). *)
-
-val backend_variant : string -> variant
-(** A variant that routes through [Ilp_mapper.map ~backend:name]; the
-    variant's display name is the backend name itself. *)
+val variant_of_name : string -> (variant, string) result
+(** The selection {!Cgra_core.Ilp_mapper.resolve} gives [name], named
+    [name], with a 5 s warm start (which external engines skip). *)
 
 val default_variant : variant
 (** The single-engine configuration: SAT-backed with a short warm
@@ -53,8 +50,8 @@ val run_variant :
     infeasibility verdicts (see {!Cgra_core.Ilp_mapper.map}); the
     record's [certified] field reports the outcome.  [explain] (default
     [false]) extracts a constraint-group unsat core for an [Infeasible]
-    verdict and journals it in the record's [core] field.  A [Backend]
-    variant whose solver is missing or misbehaves yields an [Error]
+    verdict and journals it in the record's [core] field.  A variant
+    whose external solver is missing or misbehaves yields an [Error]
     record carrying the backend's message, never an exception. *)
 
 val run : ?cancel:bool Atomic.t -> ?certify:bool -> ?explain:bool -> Job.t -> Record.t

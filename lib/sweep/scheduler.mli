@@ -30,7 +30,7 @@ val run :
   ?pool:Pool.t ->
   ?portfolio:bool ->
   ?racers:Runner.variant list ->
-  ?cross_check:string ->
+  ?cross_check:Runner.variant ->
   ?executor:(Job.t -> Record.t) ->
   ?certify:bool ->
   ?explain:bool ->
@@ -52,10 +52,11 @@ val run :
     {!Runner.default_racers} sized to the machine.  [racers] without
     [portfolio] is ignored.
 
-    [cross_check] names a {!Cgra_backend.Registry} backend to run as a
-    second, independent prover on every cell whose primary answer is
-    definitive ([Feasible]/[Infeasible]).  The second opinion is folded
-    into the record's [cross] field and journaled with it; a
+    [cross_check] is a variant (typically {!Runner.variant_of_name}) to
+    run as a second, independent prover on every cell whose primary
+    answer is definitive ([Feasible]/[Infeasible]).  The second opinion
+    is folded into the record's [cross] field, under the variant's
+    name, and journaled with it; a
     contradiction (see {!Record.verdicts_agree}) marks the record as a
     disagreement and is counted in [stats.disagreements].  A checker
     that times out, errors, or is simply not installed is inconclusive

@@ -14,43 +14,90 @@ module Deadline = Cgra_util.Deadline
 (* ---------------- registry ---------------- *)
 
 let test_registry_builtins () =
-  let names = Registry.names () in
+  let names = List.map (fun (s : IM.selection) -> s.IM.name) (IM.selections ()) in
   List.iter
     (fun n ->
       Alcotest.(check bool) (Printf.sprintf "builtin %s listed" n) true (List.mem n names))
     [ "native-sat"; "native-bnb"; "highs"; "cbc"; "scip" ];
-  Alcotest.(check bool) "default resolvable" true (Registry.find Registry.default_name <> None);
-  Alcotest.(check bool) "unknown name is None" true (Registry.find "no-such-solver" = None);
-  (match Registry.find "native-sat" with
-  | Some b -> (
-      Alcotest.(check string) "native kind" "native" (Backend.kind_name b.Backend.kind);
-      match b.Backend.available () with
+  Alcotest.(check bool) "unknown name is refused" true
+    (Result.is_error (IM.resolve "no-such-solver"));
+  (* the default selection: the paper formulation on the SAT engine *)
+  match IM.resolve "native-sat" with
+  | Ok (None, (IM.Native Solve.Sat_backed as engine)) -> (
+      match IM.available engine with
       | Backend.Available _ -> ()
       | Backend.Unavailable why -> Alcotest.failf "native-sat unavailable: %s" why)
-  | None -> Alcotest.fail "native-sat missing")
+  | Ok _ -> Alcotest.fail "native-sat is not the in-process SAT engine"
+  | Error msg -> Alcotest.failf "native-sat missing: %s" msg
 
 let fake_backend ?(name = "fake") ?(doc = "fake") outcome =
   {
     Backend.name;
     doc;
-    kind = Backend.External { binary = name; dialect = Sol_parse.Highs };
     available = (fun () -> Backend.Available { version = Some "fake 1.0" });
-    solve =
-      (fun ?deadline:_ _model -> { Backend.outcome; wall_seconds = 0.0; note = None });
+    solve = (fun ?deadline:_ _model -> outcome);
   }
+
+(* the description of the external backend a name resolves to *)
+let resolved_doc name =
+  match IM.resolve name with Ok (None, IM.External b) -> Some b.Backend.doc | _ -> None
 
 let test_registry_register_shadow () =
   Registry.register (fake_backend ~name:"test-fake" ~doc:"first" Solve.Infeasible);
-  Alcotest.(check bool) "registered appears" true (List.mem "test-fake" (Registry.names ()));
+  Alcotest.(check bool) "registered appears" true
+    (List.exists (fun (s : IM.selection) -> s.IM.name = "test-fake") (IM.selections ()));
   Registry.register (fake_backend ~name:"test-fake" ~doc:"second" Solve.Infeasible);
-  (match Registry.find "test-fake" with
-  | Some b -> Alcotest.(check string) "re-registration replaces" "second" b.Backend.doc
-  | None -> Alcotest.fail "test-fake lost");
+  Alcotest.(check (option string)) "re-registration replaces" (Some "second")
+    (resolved_doc "test-fake");
   (* shadowing a builtin: the registered entry wins by name *)
   Registry.register (fake_backend ~name:"cbc" ~doc:"shadowed" Solve.Infeasible);
-  match Registry.find "cbc" with
-  | Some b -> Alcotest.(check string) "builtin shadowed" "shadowed" b.Backend.doc
-  | None -> Alcotest.fail "cbc lost"
+  Alcotest.(check (option string)) "builtin shadowed" (Some "shadowed") (resolved_doc "cbc")
+
+(* ---------------- the solver-name resolver ---------------- *)
+
+let engine_name = function
+  | IM.Native Solve.Sat_backed -> "native:sat"
+  | IM.Native Solve.Branch_and_bound -> "native:bnb"
+  | IM.Native Solve.Brute_force -> "native:brute"
+  | IM.External b -> "external:" ^ b.Backend.name
+
+let selected ?formulation name =
+  match IM.resolve ?formulation name with
+  | Ok (f, engine) -> (f, engine_name engine)
+  | Error msg -> Alcotest.failf "%s refused: %s" name msg
+
+let selection = Alcotest.(pair (option string) string)
+
+let test_resolve_names () =
+  List.iter
+    (fun (name, expect) -> Alcotest.check selection name expect (selected name))
+    [
+      ("native-sat", (None, "native:sat"));
+      ("native-bnb", (None, "native:bnb"));
+      ("conn-sat", (Some "conn", "native:sat"));
+      ("conn-bnb", (Some "conn", "native:bnb"));
+      ("highs", (None, "external:highs"));
+      ("cbc", (None, "external:cbc"));
+      ("scip", (None, "external:scip"));
+    ];
+  (* a name that implies no formulation keeps the one asked for *)
+  Alcotest.check selection "native-bnb keeps conn" (Some "conn", "native:bnb")
+    (selected ~formulation:"conn" "native-bnb");
+  Alcotest.check selection "highs keeps paper" (Some "paper", "external:highs")
+    (selected ~formulation:"paper" "highs");
+  Alcotest.check selection "conn-sat agrees with conn" (Some "conn", "native:sat")
+    (selected ~formulation:"conn" "conn-sat");
+  (* every listed name resolves *)
+  List.iter
+    (fun (s : IM.selection) -> ignore (selected s.IM.name))
+    (IM.selections ())
+
+let test_resolve_contradiction_refused () =
+  match IM.resolve ~formulation:"paper" "conn-sat" with
+  | Ok _ -> Alcotest.fail "conn-sat accepted with formulation paper"
+  | Error msg ->
+      Alcotest.(check bool) "error names both formulations" true
+        (Astring.String.is_infix ~affix:"conn" msg && Astring.String.is_infix ~affix:"paper" msg)
 
 (* ---------------- Sol_parse unit ---------------- *)
 
@@ -236,6 +283,12 @@ let with_stub_highs canned_text f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     f
 
+(* the engine the name "highs" selects, as the CLI's --backend resolves it *)
+let highs () =
+  match IM.resolve "highs" with
+  | Ok (_, engine) -> engine
+  | Error msg -> Alcotest.failf "highs does not resolve: %s" msg
+
 let feasible_job =
   { Job.benchmark = "2x2-f"; arch = "homo-orth"; size = 2; contexts = 2; limit = 30.0 }
 
@@ -268,7 +321,7 @@ let test_external_feasible_matches_native () =
       { Sol_parse.status = Sol_parse.Optimal; objective = Some 0.0; values }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~engine:(highs ()) dfg mrrg with
       | IM.Mapped (_, info) ->
           Alcotest.(check bool) "replayed mapping is certified" true info.IM.certified
       | r -> Alcotest.failf "external mapper disagrees with native: %a" IM.pp_result r)
@@ -280,7 +333,7 @@ let test_external_infeasible_verdict () =
       { Sol_parse.status = Sol_parse.Infeasible; objective = None; values = [] }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~engine:(highs ()) dfg mrrg with
       | IM.Infeasible info ->
           (* the solver's word, no DRAT trace: never certified *)
           Alcotest.(check bool) "external infeasible uncertified" false info.IM.certified
@@ -299,19 +352,21 @@ let test_external_bogus_solution_rejected () =
       { Sol_parse.status = Sol_parse.Optimal; objective = Some 0.0; values }
   in
   with_stub_highs canned (fun () ->
-      match IM.map ~backend:"highs" dfg mrrg with
+      match IM.map ~engine:(highs ()) dfg mrrg with
       | exception Backend.Error msg ->
           Alcotest.(check bool) "error names the replay failure" true
             (Astring.String.is_infix ~affix:"replay" msg)
       | r -> Alcotest.failf "bogus solution accepted: %a" IM.pp_result r)
 
 let test_external_unknown_backend () =
-  let dfg, mrrg = prepare_exn infeasible_job in
-  match IM.map ~backend:"no-such-solver" dfg mrrg with
-  | exception Backend.Error msg ->
-      Alcotest.(check bool) "error lists known backends" true
-        (Astring.String.is_infix ~affix:"native-sat" msg)
-  | _ -> Alcotest.fail "unknown backend accepted"
+  match IM.resolve "no-such-solver" with
+  | Error msg ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (Printf.sprintf "error lists %s" n) true
+            (Astring.String.is_infix ~affix:n msg))
+        [ "no-such-solver"; "native-sat"; "native-bnb"; "conn-sat"; "conn-bnb"; "highs" ]
+  | Ok _ -> Alcotest.fail "unknown backend accepted"
 
 let suites =
   [
@@ -319,6 +374,10 @@ let suites =
       [
         Alcotest.test_case "builtins present and typed" `Quick test_registry_builtins;
         Alcotest.test_case "register and shadow" `Quick test_registry_register_shadow;
+        Alcotest.test_case "resolver: names select formulation x engine" `Quick
+          test_resolve_names;
+        Alcotest.test_case "resolver: contradiction refused" `Quick
+          test_resolve_contradiction_refused;
       ] );
     ( "backend:sol-parse",
       [

@@ -158,7 +158,7 @@ let test_small_grid_agreement () =
 (* ---------------- the conn model itself ---------------- *)
 
 let test_conn_backends_registered () =
-  let names = Cgra_backend.Registry.names () in
+  let names = List.map (fun (s : IM.selection) -> s.IM.name) (IM.selections ()) in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
@@ -171,8 +171,14 @@ let test_conn_backend_maps () =
   let mrrg = cell_mrrg ~size:2 ~arch:"homo-orth" ~ii:2 in
   List.iter
     (fun backend ->
+      let formulation, engine =
+        match IM.resolve backend with
+        | Ok selection -> selection
+        | Error msg -> Alcotest.failf "%s: %s" backend msg
+      in
       match
-        IM.map ~backend ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0) dfg mrrg
+        IM.map ?formulation ~engine ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:60.0)
+          dfg mrrg
       with
       | IM.Mapped (m, _) ->
           Alcotest.(check bool) (backend ^ " mapping legal") true (Check.is_legal m)

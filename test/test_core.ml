@@ -128,6 +128,16 @@ let test_map_timeout () =
   | IM.Timeout _ -> ()
   | r -> Alcotest.failf "expected timeout, got %a" IM.pp_result r
 
+let test_map_warm_start_within_deadline () =
+  (* mac on a 3x3 mesh stays undecided for seconds; the default 5 s
+     warm start must spend the request's 0.5 s budget, not its own *)
+  let config = Option.get (Library.find_config ~size:3 "homo-orth") in
+  let mrrg = Build.elaborate (Library.make config) ~ii:1 in
+  let t0 = Cgra_util.Deadline.now () in
+  ignore (IM.map ~deadline:(Cgra_util.Deadline.after ~seconds:0.5) (Benchmarks.mac ()) mrrg);
+  let elapsed = Cgra_util.Deadline.elapsed_of ~start:t0 in
+  Alcotest.(check bool) (Printf.sprintf "returned in %.2fs, under 2s" elapsed) true (elapsed < 2.0)
+
 let test_map_dual_context_uses_both () =
   (* 1x1 grid, ii=2: two ALU slots allow two chained adds *)
   let dfg =
@@ -181,7 +191,7 @@ let test_optimal_cost_engine_agreement () =
   let dfg = tiny_add_dfg () in
   let mrrg = mrrg_of ~ii:1 1 in
   let cost engine =
-    match IM.map ~objective:Formulation.Min_routing ~engine dfg mrrg with
+    match IM.map ~objective:Formulation.Min_routing ~engine:(IM.Native engine) dfg mrrg with
     | IM.Mapped (_, info) -> Option.get info.IM.objective_value
     | r -> Alcotest.failf "engine failed: %a" IM.pp_result r
   in
@@ -541,7 +551,9 @@ let test_map_certify_bnb_cross_certifies () =
      its Infeasible answer through a proof-logging SAT refutation *)
   let dfg = Benchmarks.conv_2x2_f () in
   let mrrg = mrrg_of ~ii:1 2 in
-  match IM.map ~engine:Solve.Branch_and_bound ~warm_start:0.0 ~certify:true dfg mrrg with
+  match
+    IM.map ~engine:(IM.Native Solve.Branch_and_bound) ~warm_start:0.0 ~certify:true dfg mrrg
+  with
   | IM.Infeasible info ->
       Alcotest.(check bool) "cross-certified" true info.IM.certified;
       Alcotest.(check bool) "proof logged by the SAT refutation" true (info.IM.proof_steps > 0)
@@ -699,6 +711,8 @@ let suites =
         Alcotest.test_case "infeasible: no candidate" `Quick test_map_no_candidate_infeasible;
         Alcotest.test_case "self-loop accumulator" `Quick test_map_self_loop_accumulator;
         Alcotest.test_case "timeout" `Quick test_map_timeout;
+        Alcotest.test_case "warm start within the deadline" `Quick
+          test_map_warm_start_within_deadline;
         Alcotest.test_case "dual context" `Quick test_map_dual_context_uses_both;
         Alcotest.test_case "extraction covers edges" `Quick test_extract_routes_cover_edges;
       ] );

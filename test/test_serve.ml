@@ -365,6 +365,43 @@ let test_engine_bad_requests () =
   | Error ("bad_request", _) -> ()
   | _ -> Alcotest.fail "accepted contexts=0"
 
+let test_engine_named_backends () =
+  (* The wire [backend] field selects through the same resolver as the
+     CLI: conn-sat is the conn formulation on the SAT engine, native-bnb
+     the paper formulation on branch-and-bound.  Served decisions must
+     match the one-shot mapper given that selection. *)
+  let e = Engine.create () in
+  List.iter
+    (fun (backend, formulation, engine) ->
+      List.iter
+        (fun (bench, ii) ->
+          let cell = Printf.sprintf "%s %s/ii%d" backend bench ii in
+          match Engine.handle_map e (map_request ~bench ~contexts:ii ~backend ()) with
+          | Error (code, msg) -> Alcotest.failf "%s refused: %s %s" cell code msg
+          | Ok served ->
+              let reference =
+                IM.map ?formulation ~engine ~warm_start:0.0 (benchmark bench) (small_mrrg ii)
+              in
+              let one_shot =
+                Protocol.verdict_of_result ~engine:backend ~wall_seconds:0.0
+                  ~provenance:Protocol.cold_provenance reference
+              in
+              Alcotest.(check string) (cell ^ " engine") backend served.Protocol.engine;
+              Alcotest.(check string) (cell ^ " decision bytes")
+                (Jsonl.to_string (Protocol.decision_json one_shot))
+                (Jsonl.to_string (Protocol.decision_json served)))
+        [ ("mac", 1); ("2x2-f", 2) ])
+    [
+      ("conn-sat", Some "conn", IM.Native Cgra_ilp.Solve.Sat_backed);
+      ("native-bnb", None, IM.Native Cgra_ilp.Solve.Branch_and_bound);
+    ];
+  match Engine.handle_map e (map_request ~backend:"no-such-solver" ()) with
+  | Error ("backend", msg) ->
+      Alcotest.(check bool) "error lists known names" true
+        (Astring.String.is_infix ~affix:"conn-sat" msg)
+  | Error (code, _) -> Alcotest.failf "wrong code %s" code
+  | Ok _ -> Alcotest.fail "accepted unknown backend"
+
 let test_engine_concurrent_mixed_keys () =
   (* Four domains hammer two different (dfg, arch, ii) keys through one
      engine: per-session mutexes serialise same-key solves, different
@@ -592,6 +629,8 @@ let suites =
         Alcotest.test_case "distinct arch digests, distinct sessions" `Slow
           test_engine_distinct_arch_digests;
         Alcotest.test_case "bad requests are refused" `Quick test_engine_bad_requests;
+        Alcotest.test_case "named backends match the one-shot mapper" `Quick
+          test_engine_named_backends;
         Alcotest.test_case "concurrent mixed-key requests" `Slow
           test_engine_concurrent_mixed_keys;
       ] );
