@@ -6,33 +6,28 @@
      fig8              SA mapper vs ILP mapper (paper Figure 8); journaled,
                        resumable, exits 1 if SA ever beats the exact mapper
      sizes             formulation sizes per cell (diagnostics)
-     sweep             parallel sweep engine scaling (--jobs 1/2/4); appends
-                       a run record to BENCH_sweep.json
-     certify           DRAT certification overhead (proof logging on vs off);
-                       appends a run record to BENCH_certify.json
+     ablation          exact-solve time under formulation variants
+     sweep             parallel sweep engine scaling (--jobs 1/2/4)
+     certify           DRAT certification overhead (proof logging off vs on)
      inprocess         SAT inprocessing A/B on hard Table 2 cells (probing
-                       on vs off); appends a run record to
-                       BENCH_inprocess.json and exits 1 if the geomean
-                       speedup falls below 1.3x
+                       off vs on); exits 1 if the geomean speedup is < 1.3x
      explain           unsat-core extraction overhead on infeasible cells
      conn              formulation A/B: the paper's per-edge model vs the
-                       connectivity model on shared cells — encode size,
-                       encode/solve time per formulation; appends a run
-                       record to BENCH_conn.json, exits 3 on any verdict
-                       flip and 1 if conn's row count blows past its gate
+                       connectivity model — encode size, encode/solve time;
+                       exits 1 if conn's row count passes 8x the paper's
      crosscheck        native engine vs an external MILP backend on a small
-                       grid (skipped with a message when the solver binary
-                       is not installed); exits 5 on verdict disagreement
-     serve             daemon serving latency: cold vs warm requests over
-                       one socket, cache hit rate; appends a run record to
-                       BENCH_serve.json and exits 1 if the warm path is not
-                       at least 1.5x faster than the cold one
-     archscale         elaboration/encode/solve cost vs array size (2x2 to
-                       16x16, mesh vs torus); appends a run record to
-                       BENCH_archscale.json and exits 1 if 8x8 mesh
-                       elaboration regresses >2x over the journaled baseline
+                       grid (a logged skip when the binary is not installed)
+     serve             daemon latency, cold vs warm requests over one socket;
+                       exits 1 unless warm is at least 1.5x faster than cold
+     archscale         elaborate/encode/solve cost vs array size (2x2 to
+                       16x16, mesh vs torus); exits 1 if 8x8 mesh elaboration
+                       or encoding regresses >2x over the journaled baseline
      micro             Bechamel micro-benchmarks of the pipeline stages
      all               table1 + table2 + fig8 + micro (default)
+
+   sweep, certify, inprocess, conn, serve and archscale append a run
+   record to BENCH_<name>.json.  inprocess and conn exit 3 if a verdict
+   flips between their two sides; crosscheck exits 5 on a disagreement.
 
    Common options:
      --limit SECS      per-cell time limit (default 120)
@@ -53,12 +48,18 @@ module IM = Cgra_core.Ilp_mapper
 module Anneal = Cgra_core.Anneal
 module Formulation = Cgra_core.Formulation
 module Deadline = Cgra_util.Deadline
-
+module Solve = Cgra_ilp.Solve
 module Jsonl = Cgra_sweep.Jsonl
+module Sweep_job = Cgra_sweep.Job
+module Sweep_store = Cgra_sweep.Store
+module Sweep_sched = Cgra_sweep.Scheduler
+module Sweep_record = Cgra_sweep.Record
+module Sweep_runner = Cgra_sweep.Runner
 
 (* Append a run record to BENCH_<name>.json, preserving earlier runs so
    each journal accumulates a history across commits — the same schema
-   for every journaled subcommand: {"bench": name, "runs": [...]}. *)
+   for every journaled subcommand: {"bench": name, "runs": [...]}, each
+   run stamped with its "unix_time" first. *)
 let previous_bench_runs ~name =
   let path = Printf.sprintf "BENCH_%s.json" name in
   if Sys.file_exists path then begin
@@ -75,8 +76,9 @@ let previous_bench_runs ~name =
 let record_bench_run ~name fields =
   let path = Printf.sprintf "BENCH_%s.json" name in
   let previous = previous_bench_runs ~name in
+  let run = Jsonl.Obj (("unix_time", Jsonl.Num (Unix.gettimeofday ())) :: fields) in
   let doc =
-    Jsonl.Obj [ ("bench", Jsonl.Str name); ("runs", Jsonl.List (previous @ [ fields ])) ]
+    Jsonl.Obj [ ("bench", Jsonl.Str name); ("runs", Jsonl.List (previous @ [ run ])) ]
   in
   let oc = open_out path in
   output_string oc (Jsonl.to_string doc);
@@ -84,6 +86,53 @@ let record_bench_run ~name fields =
   close_out oc;
   Printf.printf "  recorded run %d in %s\n" (List.length previous + 1) path
 
+(* The number [field] of the first of [rows] that [where] accepts. *)
+let find_num ?(where = fun _ -> true) field rows =
+  List.find_map
+    (fun row ->
+      match Jsonl.member field row with Some (Jsonl.Num x) when where row -> Some x | _ -> None)
+    rows
+
+(* [find_num] over the [rows] list of the last run journaled in
+   BENCH_<name>.json: the previous run's value to gate against. *)
+let last_journaled ~name ~rows ?where field =
+  match List.rev (previous_bench_runs ~name) with
+  | last :: _ -> (
+      match Jsonl.member rows last with
+      | Some (Jsonl.List rs) -> find_num ?where field rs
+      | _ -> None)
+  | [] -> None
+
+(* ------------------------------------------------------------------ *)
+(* Shared harness parts: cells, timing, verdicts, the A/B driver       *)
+(* ------------------------------------------------------------------ *)
+
+(* One benchmark cell: a kernel on an architecture at one array size
+   and context count (II).  Names resolve as the CLI and the sweep
+   engine resolve them: paper configuration, gallery, file path. *)
+type cell = { bench : string; arch : string; size : int; ii : int }
+
+let cell_name c = Printf.sprintf "%s/%s/ii%d" c.bench c.arch c.ii
+
+let cell_fields c =
+  [
+    ("benchmark", Jsonl.Str c.bench);
+    ("arch", Jsonl.Str c.arch);
+    ("size", Jsonl.Num (float_of_int c.size));
+    ("contexts", Jsonl.Num (float_of_int c.ii));
+  ]
+
+let cell (bench, arch, size, ii) = { bench; arch; size; ii }
+
+(* The 2x2 homo-orth cells the certify and explain overheads use. *)
+let homo_orth_2x2 = List.map (fun (bench, ii) -> cell (bench, "homo-orth", 2, ii))
+
+let resolve c =
+  match (Sweep_runner.load_benchmark c.bench, Sweep_runner.load_arch ~size:c.size c.arch) with
+  | Ok dfg, Ok arch -> Ok (dfg, Build.elaborate arch ~ii:c.ii)
+  | Error e, _ | _, Error e -> Error e
+
+(* Declared after [cell], so an unannotated [opts.size] means this one. *)
 type options = {
   limit : float;
   size : int;
@@ -98,6 +147,82 @@ let default_options =
   { limit = 120.0; size = 4; benchmarks = []; seeds = 3; jobs = 1; journal = "fig8";
     backend = "highs" }
 
+(* Mean wall time of [reps] runs of [f], with the last run's result. *)
+let mean_of ~reps f =
+  let t0 = Deadline.now () in
+  let last = ref None in
+  for _ = 1 to reps do
+    last := Some (f ())
+  done;
+  (Deadline.elapsed_of ~start:t0 /. float_of_int reps, Option.get !last)
+
+(* Verdict names: an exact-mapper result as the sweep journal spells
+   it, a solver outcome as the A/B journals do. *)
+let result_status = function
+  | IM.Mapped _ -> "feasible"
+  | IM.Infeasible _ -> "infeasible"
+  | IM.Timeout _ -> "timeout"
+
+let outcome_status = function
+  | Solve.Optimal _ | Solve.Feasible _ -> "sat"
+  | Solve.Infeasible -> "unsat"
+  | Solve.Timeout -> "TO"
+
+type agreement = Agree | Flipped of string * string | Disagreed
+
+(* The driver every A/B harness shares.  Each cell is resolved and its
+   DFG and MRRG handed to [prepare] (untimed setup both sides share),
+   then side [a] and side [b] run on the prepared value, in that
+   order.  [agree] compares their answers: a flipped verdict exits 3 at
+   once, a disagreement is counted and exits 5 once the table is out.
+   [row] prints the cell's table line and returns its journal row.
+   [gate] judges all rows and names a failure; it runs before the
+   journal is written, so the summary lines it prints come first, and
+   a failure exits 1 after the journal is written.  With [journal] the
+   run is appended to BENCH_<name>.json: the fields [journal rows],
+   then the rows under "cells". *)
+let ab ~name ?journal ?(gate = fun _ -> None) ?(agree = fun _ _ -> Agree) ~prepare ~row
+    (label_a, a) (label_b, b) cells =
+  let disagreements = ref 0 in
+  let rows =
+    List.filter_map
+      (fun c ->
+        match resolve c with
+        | Error e ->
+            Printf.printf "  %-26s %s — skipped\n%!" (cell_name c) e;
+            None
+        | Ok instance ->
+            let p = prepare c instance in
+            let ra = a p in
+            let rb = b p in
+            (match agree ra rb with
+            | Agree -> ()
+            | Flipped (va, vb) ->
+                Printf.eprintf "%s: %s verdict flipped between %s and %s (%s vs %s)\n%!" name
+                  (cell_name c) label_a label_b va vb;
+                exit 3
+            | Disagreed -> incr disagreements);
+            Some (Jsonl.Obj (row c ra rb)))
+      cells
+  in
+  let failure = gate rows in
+  Option.iter
+    (fun fields -> record_bench_run ~name (fields rows @ [ ("cells", Jsonl.List rows) ]))
+    journal;
+  Option.iter (fun msg -> Printf.eprintf "%s: %s\n%!" name msg; exit 1) failure;
+  print_newline ();
+  if !disagreements > 0 then begin
+    Printf.eprintf "%s: %d disagreement(s) between %s and %s\n%!" name !disagreements label_a
+      label_b;
+    exit 5
+  end
+
+(* One exact-mapper side: [reps] cold solves of the cell, timed. *)
+let timed_map opts ~reps ?certify ?explain () (dfg, mrrg) =
+  mean_of ~reps (fun () ->
+      IM.map ~deadline:(Deadline.after ~seconds:opts.limit) ~warm_start:0.0 ?certify ?explain dfg
+        mrrg)
+
 let selected_benchmarks opts =
   match opts.benchmarks with
   | [] -> Benchmarks.all
@@ -111,8 +236,6 @@ let table2_columns opts =
     (fun ii ->
       List.map (fun (name, config) -> (name, config, ii)) (Lib.paper_configs ~size:opts.size))
     [ 1; 2 ]
-
-let column_header (name, _, ii) = Printf.sprintf "%s/ii%d" name ii
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -132,9 +255,7 @@ let run_table1 opts =
 (* Table 2                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type cell = Feasible | Infeasible | TimedOut
-
-let cell_char = function Feasible -> "1" | Infeasible -> "0" | TimedOut -> "T"
+let cell_char = function "feasible" -> "1" | "infeasible" -> "0" | _ -> "T"
 
 let mrrg_cache : (string * int * int, Mrrg.t) Hashtbl.t = Hashtbl.create 16
 
@@ -153,35 +274,30 @@ let ilp_cell opts column dfg =
   let mrrg = mrrg_for opts column in
   let t0 = Deadline.now () in
   let slice = Float.min (opts.limit /. 3.0) 30.0 in
-  let classify = function
-    | IM.Mapped _ -> Feasible
-    | IM.Infeasible _ -> Infeasible
-    | IM.Timeout _ -> TimedOut
-  in
   let cold =
     IM.map ~objective:Formulation.Feasibility ~warm_start:0.0
       ~deadline:(Deadline.after ~seconds:slice) dfg mrrg
   in
-  let cell =
-    match classify cold with
-    | (Feasible | Infeasible) as c -> c
-    | TimedOut ->
+  let verdict =
+    match result_status cold with
+    | "timeout" ->
         let remaining = opts.limit -. Deadline.elapsed_of ~start:t0 in
-        if remaining <= 1.0 then TimedOut
+        if remaining <= 1.0 then "timeout"
         else
-          classify
+          result_status
             (IM.map ~objective:Formulation.Feasibility
                ~warm_start:(Float.min 60.0 (remaining /. 2.0))
                ~deadline:(Deadline.after ~seconds:remaining) dfg mrrg)
+    | decided -> decided
   in
-  (cell, Deadline.elapsed_of ~start:t0)
+  (verdict, Deadline.elapsed_of ~start:t0)
 
 let run_table2 opts =
   Printf.printf "== Table 2: mapping feasibility (ILP mapper, %dx%d, limit %.0fs) ==\n" opts.size
     opts.size opts.limit;
   let columns = table2_columns opts in
   Printf.printf "%-14s" "Benchmark";
-  List.iter (fun c -> Printf.printf " %20s" (column_header c)) columns;
+  List.iter (fun (name, _, ii) -> Printf.printf " %20s" (Printf.sprintf "%s/ii%d" name ii)) columns;
   print_newline ();
   let totals = Array.make (List.length columns) 0 in
   let times = ref [] in
@@ -191,10 +307,10 @@ let run_table2 opts =
       Printf.printf "%-14s%!" bname;
       List.iteri
         (fun idx column ->
-          let cell, dt = ilp_cell opts column dfg in
+          let verdict, dt = ilp_cell opts column dfg in
           times := dt :: !times;
-          if cell = Feasible then totals.(idx) <- totals.(idx) + 1;
-          Printf.printf " %14s %4.0fs%!" (cell_char cell) dt)
+          if verdict = "feasible" then totals.(idx) <- totals.(idx) + 1;
+          Printf.printf " %14s %4.0fs%!" (cell_char verdict) dt)
         columns;
       print_newline ())
     (selected_benchmarks opts);
@@ -206,25 +322,14 @@ let run_table2 opts =
   if all > 0 then begin
     let within limit = List.length (List.filter (fun t -> t < limit) !times) in
     let sorted = List.sort compare !times in
-    Printf.printf
-      "runtimes: %d/%d cells within 60s, %d/%d within the %.0fs limit, median %.2fs\n"
-      (within 60.0) all
-      (within opts.limit)
-      all opts.limit
-      (List.nth sorted (all / 2))
+    Printf.printf "runtimes: %d/%d cells within 60s, %d/%d within the %.0fs limit, median %.2fs\n"
+      (within 60.0) all (within opts.limit) all opts.limit (List.nth sorted (all / 2))
   end;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8                                                            *)
 (* ------------------------------------------------------------------ *)
-
-module Sweep_job = Cgra_sweep.Job
-module Sweep_store = Cgra_sweep.Store
-module Sweep_sched = Cgra_sweep.Scheduler
-module Sweep_record = Cgra_sweep.Record
-module Sweep_runner = Cgra_sweep.Runner
-module Sweep_grid = Cgra_sweep.Grid
 
 (* Both mappers sweep the full grid through the scheduler, each side
    journaling to its own resumable JSONL file: BASE.ilp.jsonl for the
@@ -248,7 +353,7 @@ let fig8_side opts ~label ~path ?executor jobs =
   Sweep_store.close store;
   if stats.Sweep_sched.skipped > 0 then
     Printf.eprintf "  [%s] resumed: %d cell(s) from %s\n%!" label stats.Sweep_sched.skipped path;
-  Sweep_grid.latest_by_key (Sweep_store.load path)
+  Cgra_sweep.Grid.latest_by_key (Sweep_store.load path)
 
 let run_fig8 opts =
   Printf.printf "== Figure 8: benchmarks mapped, SA mapper vs ILP mapper (%dx%d) ==\n" opts.size
@@ -264,17 +369,13 @@ let run_fig8 opts =
       jobs
   in
   let feasible_count tbl arch ii =
-    List.length
-      (List.filter
-         (fun benchmark ->
-           let key =
-             Sweep_job.key
-               { Sweep_job.benchmark; arch; size = opts.size; contexts = ii; limit = opts.limit }
-           in
-           match Hashtbl.find_opt tbl key with
-           | Some (r : Sweep_record.t) -> r.Sweep_record.status = Sweep_record.Feasible
-           | None -> false)
-         benchmarks)
+    let feasible benchmark =
+      let job = { Sweep_job.benchmark; arch; size = opts.size; contexts = ii; limit = opts.limit } in
+      match Hashtbl.find_opt tbl (Sweep_job.key job) with
+      | Some (r : Sweep_record.t) -> r.Sweep_record.status = Sweep_record.Feasible
+      | None -> false
+    in
+    List.length (List.filter feasible benchmarks)
   in
   Printf.printf "%-18s %12s %12s\n" "Architecture" "SA mapper" "ILP mapper";
   let violations = ref [] in
@@ -343,37 +444,28 @@ let run_ablation opts =
       ("exp_4", "homo-diag", 1); ("mac", "homo-orth", 2) ]
   in
   Printf.printf "%-24s" "case";
-  List.iter (fun (n, _, _, _) -> Printf.printf " %14s" n) variants;
+  List.iter (fun (n, _, _, _) -> Printf.printf " %16s" n) variants;
   print_newline ();
   List.iter
     (fun (bench, arch, ii) ->
-      match (Benchmarks.by_name bench, Lib.find_config ~size:opts.size arch) with
-      | Some dfg, Some config ->
-          let mrrg = mrrg_for opts (arch, config, ii) in
-          Printf.printf "%-24s%!" (Printf.sprintf "%s/%s/ii%d" bench arch ii);
+      let c = cell (bench, arch, opts.size, ii) in
+      match resolve c with
+      | Ok (dfg, mrrg) ->
+          Printf.printf "%-24s%!" (cell_name c);
           List.iter
             (fun (_, prune, anchor_sinks, backward_continuity) ->
-              let t0 = Deadline.now () in
-              let f =
-                Formulation.build ~objective:Formulation.Feasibility ~prune ~anchor_sinks
-                  ~backward_continuity dfg mrrg
+              let dt, outcome =
+                mean_of ~reps:1 (fun () ->
+                    let f =
+                      Formulation.build ~objective:Formulation.Feasibility ~prune ~anchor_sinks
+                        ~backward_continuity dfg mrrg
+                    in
+                    Solve.solve ~deadline:(Deadline.after ~seconds:opts.limit) f.Formulation.model)
               in
-              let outcome =
-                Cgra_ilp.Solve.solve
-                  ~deadline:(Deadline.after ~seconds:opts.limit)
-                  f.Formulation.model
-              in
-              let dt = Deadline.elapsed_of ~start:t0 in
-              let tag =
-                match outcome with
-                | Cgra_ilp.Solve.Optimal _ | Cgra_ilp.Solve.Feasible _ -> "sat"
-                | Cgra_ilp.Solve.Infeasible -> "uns"
-                | Cgra_ilp.Solve.Timeout -> "TO"
-              in
-              Printf.printf " %9.2fs %3s%!" dt tag)
+              Printf.printf " %9.2fs %5s%!" dt (outcome_status outcome))
             variants;
           print_newline ()
-      | _ -> Printf.printf "unknown case %s/%s\n" bench arch)
+      | Error e -> Printf.printf "%s: %s\n" (cell_name c) e)
     cases;
   print_newline ()
 
@@ -383,13 +475,11 @@ let run_ablation opts =
 
 let run_sweep_scaling opts =
   Printf.printf "== Sweep scaling: wall clock vs worker count (limit %.0fs/job) ==\n" opts.limit;
-  let module Job = Cgra_sweep.Job in
-  let module Scheduler = Cgra_sweep.Scheduler in
   let benchmarks =
     match opts.benchmarks with [] -> [ "accum"; "mac"; "add_10"; "2x2-f" ] | bs -> bs
   in
   let jobs =
-    Job.paper_grid ~size:opts.size ~contexts:[ 1 ] ~limit:opts.limit ~benchmarks
+    Sweep_job.paper_grid ~size:opts.size ~contexts:[ 1 ] ~limit:opts.limit ~benchmarks
       ~archs:[ "homo-orth"; "homo-diag" ] ()
   in
   Printf.printf "%d jobs; host has %d cores\n%!" (List.length jobs)
@@ -398,32 +488,30 @@ let run_sweep_scaling opts =
   let rows =
     List.map
       (fun n ->
-        let records, stats = Scheduler.run ~jobs:n jobs in
+        let records, stats = Sweep_sched.run ~jobs:n jobs in
         let undecided =
-          List.length (List.filter (fun r -> not (Cgra_sweep.Record.definitive r)) records)
+          List.length (List.filter (fun r -> not (Sweep_record.definitive r)) records)
         in
-        if n = 1 then baseline := stats.Scheduler.wall_seconds;
-        let speedup = !baseline /. stats.Scheduler.wall_seconds in
+        if n = 1 then baseline := stats.Sweep_sched.wall_seconds;
+        let speedup = !baseline /. stats.Sweep_sched.wall_seconds in
         Printf.printf "  --jobs %d: %6.1fs wall  (speedup %.2fx, %d undecided)\n%!" n
-          stats.Scheduler.wall_seconds speedup undecided;
+          stats.Sweep_sched.wall_seconds speedup undecided;
         Jsonl.Obj
           [
             ("workers", Jsonl.Num (float_of_int n));
-            ("wall_seconds", Jsonl.Num stats.Scheduler.wall_seconds);
+            ("wall_seconds", Jsonl.Num stats.Sweep_sched.wall_seconds);
             ("speedup", Jsonl.Num speedup);
             ("undecided", Jsonl.Num (float_of_int undecided));
           ])
       [ 1; 2; 4 ]
   in
   record_bench_run ~name:"sweep"
-    (Jsonl.Obj
-       [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("size", Jsonl.Num (float_of_int opts.size));
-         ("limit", Jsonl.Num opts.limit);
-         ("n_jobs", Jsonl.Num (float_of_int (List.length jobs)));
-         ("scaling", Jsonl.List rows);
-       ]);
+    [
+      ("size", Jsonl.Num (float_of_int opts.size));
+      ("limit", Jsonl.Num opts.limit);
+      ("n_jobs", Jsonl.Num (float_of_int (List.length jobs)));
+      ("scaling", Jsonl.List rows);
+    ];
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -437,66 +525,32 @@ let run_sweep_scaling opts =
    solver event — and [certified] includes both logging and the
    independent DRAT re-check of infeasible answers. *)
 let run_certify opts =
-  Printf.printf "== Certification overhead (2x2 cells, %d reps) ==\n" 3;
   let reps = 3 in
-  let arch =
-    match Lib.find_config ~size:2 "homo-orth" with
-    | Some c -> Lib.make c
-    | None -> failwith "bench certify: homo-orth config missing"
-  in
+  Printf.printf "== Certification overhead (2x2 cells, %d reps) ==\n" reps;
   Printf.printf "  %-10s %-4s %10s %10s %9s %12s\n" "benchmark" "ii" "plain" "certified"
     "overhead" "proof steps";
-  let rows =
-    List.filter_map
-      (fun (bench, ii) ->
-        match Benchmarks.by_name bench with
-        | None ->
-            Printf.printf "  %-10s unknown benchmark\n" bench;
-            None
-        | Some dfg ->
-            let mrrg = Build.elaborate arch ~ii in
-            let once certify =
-              IM.map ~deadline:(Deadline.after ~seconds:opts.limit) ~warm_start:0.0 ~certify dfg
-                mrrg
-            in
-            let time certify =
-              let t0 = Deadline.now () in
-              for _ = 1 to reps do
-                ignore (once certify)
-              done;
-              Deadline.elapsed_of ~start:t0 /. float_of_int reps
-            in
-            let plain = time false in
-            let certified = time true in
-            let steps =
-              match once true with
-              | IM.Infeasible info | IM.Timeout info -> info.IM.proof_steps
-              | IM.Mapped (_, info) -> info.IM.proof_steps
-            in
-            let overhead = if plain > 0.0 then certified /. plain else 0.0 in
-            Printf.printf "  %-10s ii%-3d %9.3fs %9.3fs %8.2fx %12d\n%!" bench ii plain
-              certified overhead steps;
-            Some
-              (Jsonl.Obj
-                 [
-                   ("benchmark", Jsonl.Str bench);
-                   ("contexts", Jsonl.Num (float_of_int ii));
-                   ("plain_seconds", Jsonl.Num plain);
-                   ("certified_seconds", Jsonl.Num certified);
-                   ("overhead", Jsonl.Num overhead);
-                   ("proof_steps", Jsonl.Num (float_of_int steps));
-                 ]))
-      [ ("mac", 1); ("2x2-f", 1); ("mac", 2); ("2x2-f", 2) ]
-  in
-  record_bench_run ~name:"certify"
-    (Jsonl.Obj
-       [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("size", Jsonl.Num 2.0);
-         ("reps", Jsonl.Num (float_of_int reps));
-         ("cells", Jsonl.List rows);
-       ]);
-  print_newline ()
+  ab ~name:"certify"
+    ~journal:(fun _ -> [ ("size", Jsonl.Num 2.0); ("reps", Jsonl.Num (float_of_int reps)) ])
+    ~prepare:(fun _ i -> i)
+    ~row:(fun c (plain, _) (certified, result) ->
+      let steps =
+        match result with
+        | IM.Mapped (_, info) | IM.Infeasible info | IM.Timeout info -> info.IM.proof_steps
+      in
+      let overhead = if plain > 0.0 then certified /. plain else 0.0 in
+      Printf.printf "  %-10s ii%-3d %9.3fs %9.3fs %8.2fx %12d\n%!" c.bench c.ii plain certified
+        overhead steps;
+      [
+        ("benchmark", Jsonl.Str c.bench);
+        ("contexts", Jsonl.Num (float_of_int c.ii));
+        ("plain_seconds", Jsonl.Num plain);
+        ("certified_seconds", Jsonl.Num certified);
+        ("overhead", Jsonl.Num overhead);
+        ("proof_steps", Jsonl.Num (float_of_int steps));
+      ])
+    ("plain", timed_map opts ~reps ~certify:false ())
+    ("certified", timed_map opts ~reps ~certify:true ())
+    (homo_orth_2x2 [ ("mac", 1); ("2x2-f", 1); ("mac", 2); ("2x2-f", 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Inprocessing A/B: probing on vs off                                 *)
@@ -513,103 +567,59 @@ let run_certify opts =
 let inprocess_gate = 1.3
 
 let run_inprocess opts =
-  let module Solve = Cgra_ilp.Solve in
   let module Inprocess = Cgra_satoca.Inprocess in
   let reps = 3 in
   Printf.printf "== Inprocessing A/B: probing vs none (%d reps, limit %.0fs) ==\n" reps
     opts.limit;
-  let cells =
-    [
-      ("mult_10", "homo-orth", 2, 1); ("mult_10", "homo-diag", 2, 1);
-      ("mult_14", "homo-orth", 2, 1); ("cos_4", "homo-orth", 2, 2);
-      ("tay_4", "homo-orth", 2, 2); ("weighted_sum", "homo-orth", 2, 2);
-    ]
-  in
   Printf.printf "  %-26s %-6s %10s %10s %9s\n" "cell" "status" "off" "on" "speedup";
-  let ratios = ref [] in
-  let rows =
-    List.filter_map
-      (fun (bench, arch_name, size, ii) ->
-        match (Benchmarks.by_name bench, Lib.find_config ~size arch_name) with
-        | None, _ | _, None ->
-            Printf.printf "  %-26s unknown cell — skipped\n" bench;
-            None
-        | Some dfg, Some config ->
-            let mrrg = Build.elaborate (Lib.make config) ~ii in
-            let f = Formulation.build ~objective:Formulation.Feasibility dfg mrrg in
-            let solve_once inprocess =
-              Solve.solve_report
-                ~deadline:(Deadline.after ~seconds:opts.limit)
-                ~inprocess f.Formulation.model
-            in
-            let time inprocess =
-              let t0 = Deadline.now () in
-              let last = ref None in
-              for _ = 1 to reps do
-                last := Some (solve_once inprocess)
-              done;
-              (Deadline.elapsed_of ~start:t0 /. float_of_int reps, Option.get !last)
-            in
-            let off_seconds, off_report = time Inprocess.Off in
-            let on_seconds, on_report = time Inprocess.On in
-            let status = function
-              | Solve.Optimal _ | Solve.Feasible _ -> "sat"
-              | Solve.Infeasible -> "unsat"
-              | Solve.Timeout -> "TO"
-            in
-            if status off_report.Solve.outcome <> status on_report.Solve.outcome then begin
-              Printf.eprintf
-                "inprocess: %s/%s/ii%d verdict flipped with inprocessing (%s vs %s)\n%!" bench
-                arch_name ii
-                (status off_report.Solve.outcome)
-                (status on_report.Solve.outcome);
-              exit 3
-            end;
-            let speedup = if on_seconds > 0.0 then off_seconds /. on_seconds else 1.0 in
-            ratios := speedup :: !ratios;
-            Printf.printf "  %-26s %-6s %9.3fs %9.3fs %8.2fx\n%!"
-              (Printf.sprintf "%s/%s/ii%d" bench arch_name ii)
-              (status on_report.Solve.outcome)
-              off_seconds on_seconds speedup;
-            Some
-              (Jsonl.Obj
-                 ([
-                    ("benchmark", Jsonl.Str bench);
-                    ("arch", Jsonl.Str arch_name);
-                    ("size", Jsonl.Num (float_of_int size));
-                    ("contexts", Jsonl.Num (float_of_int ii));
-                    ("status", Jsonl.Str (status on_report.Solve.outcome));
-                    ("off_seconds", Jsonl.Num off_seconds);
-                    ("on_seconds", Jsonl.Num on_seconds);
-                    ("speedup", Jsonl.Num speedup);
-                  ]
-                 @ List.map
-                     (fun (k, n) -> (k, Jsonl.Num (float_of_int n)))
-                     on_report.Solve.inprocess)))
-      cells
+  let side inprocess f =
+    mean_of ~reps (fun () ->
+        Solve.solve_report
+          ~deadline:(Deadline.after ~seconds:opts.limit)
+          ~inprocess f.Formulation.model)
   in
-  let geomean =
-    match !ratios with
+  let geomean rows =
+    match List.filter_map (fun row -> find_num "speedup" [ row ]) rows with
     | [] -> 1.0
-    | rs ->
-        exp (List.fold_left (fun acc r -> acc +. log r) 0.0 rs /. float_of_int (List.length rs))
+    | rs -> exp (List.fold_left (fun acc r -> acc +. log r) 0.0 rs /. float_of_int (List.length rs))
   in
-  Printf.printf "  geomean speedup: %.2fx (gate %.1fx)\n%!" geomean inprocess_gate;
-  record_bench_run ~name:"inprocess"
-    (Jsonl.Obj
+  ab ~name:"inprocess"
+    ~journal:(fun rows ->
+      [
+        ("reps", Jsonl.Num (float_of_int reps));
+        ("gate", Jsonl.Num inprocess_gate);
+        ("geomean_speedup", Jsonl.Num (geomean rows));
+      ])
+    ~gate:(fun rows ->
+      let g = geomean rows in
+      Printf.printf "  geomean speedup: %.2fx (gate %.1fx)\n%!" g inprocess_gate;
+      if g < inprocess_gate then
+        Some (Printf.sprintf "geomean speedup %.2fx below the %.1fx gate" g inprocess_gate)
+      else None)
+    ~agree:(fun (_, off) (_, on) ->
+      let off = outcome_status off.Solve.outcome and on = outcome_status on.Solve.outcome in
+      if off = on then Agree else Flipped (off, on))
+    ~prepare:(fun _ (dfg, mrrg) -> Formulation.build ~objective:Formulation.Feasibility dfg mrrg)
+    ~row:(fun c (off_seconds, _) (on_seconds, on_report) ->
+      let status = outcome_status on_report.Solve.outcome in
+      let speedup = if on_seconds > 0.0 then off_seconds /. on_seconds else 1.0 in
+      Printf.printf "  %-26s %-6s %9.3fs %9.3fs %8.2fx\n%!" (cell_name c) status off_seconds
+        on_seconds speedup;
+      cell_fields c
+      @ [
+          ("status", Jsonl.Str status);
+          ("off_seconds", Jsonl.Num off_seconds);
+          ("on_seconds", Jsonl.Num on_seconds);
+          ("speedup", Jsonl.Num speedup);
+        ]
+      @ List.map (fun (k, n) -> (k, Jsonl.Num (float_of_int n))) on_report.Solve.inprocess)
+    ("off", side Inprocess.Off) ("on", side Inprocess.On)
+    (List.map cell
        [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("reps", Jsonl.Num (float_of_int reps));
-         ("gate", Jsonl.Num inprocess_gate);
-         ("geomean_speedup", Jsonl.Num geomean);
-         ("cells", Jsonl.List rows);
-       ]);
-  if geomean < inprocess_gate then begin
-    Printf.eprintf "inprocess: geomean speedup %.2fx below the %.1fx gate\n%!" geomean
-      inprocess_gate;
-    exit 1
-  end;
-  print_newline ()
+         ("mult_10", "homo-orth", 2, 1); ("mult_10", "homo-diag", 2, 1);
+         ("mult_14", "homo-orth", 2, 1); ("cos_4", "homo-orth", 2, 2);
+         ("tay_4", "homo-orth", 2, 2); ("weighted_sum", "homo-orth", 2, 2);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Explanation overhead: unsat-core extraction on infeasible cells     *)
@@ -622,44 +632,24 @@ let run_inprocess opts =
 let run_explain opts =
   let reps = 3 in
   Printf.printf "== Explanation overhead (2x2 infeasible cells, %d reps) ==\n" reps;
-  let arch =
-    match Lib.find_config ~size:2 "homo-orth" with
-    | Some c -> Lib.make c
-    | None -> failwith "bench explain: homo-orth config missing"
-  in
   Printf.printf "  %-10s %-4s %10s %10s %9s %6s %10s %9s\n" "benchmark" "ii" "plain" "explain"
     "overhead" "core" "minimized" "SATcalls";
-  List.iter
-    (fun (bench, ii) ->
-      match Benchmarks.by_name bench with
-      | None -> Printf.printf "  %-10s unknown benchmark\n" bench
-      | Some dfg ->
-          let mrrg = Build.elaborate arch ~ii in
-          let once explain =
-            IM.map ~deadline:(Deadline.after ~seconds:opts.limit) ~warm_start:0.0 ~explain dfg
-              mrrg
-          in
-          let time explain =
-            let t0 = Deadline.now () in
-            for _ = 1 to reps do
-              ignore (once explain)
-            done;
-            Deadline.elapsed_of ~start:t0 /. float_of_int reps
-          in
-          let plain = time false in
-          let explained = time true in
-          (match once true with
-          | IM.Infeasible { IM.diagnosis = Some d; _ } ->
-              Printf.printf "  %-10s ii%-3d %9.3fs %9.3fs %8.2fx %6d %10b %9d\n%!" bench ii
-                plain explained
-                (if plain > 0.0 then explained /. plain else 0.0)
-                (List.length d.IM.core) d.IM.core_minimized d.IM.core_sat_calls
-          | IM.Infeasible { IM.diagnosis = None; _ } ->
-              Printf.printf "  %-10s ii%-3d core extraction hit the deadline\n%!" bench ii
-          | IM.Mapped _ | IM.Timeout _ ->
-              Printf.printf "  %-10s ii%-3d not an infeasible cell — skipped\n%!" bench ii))
-    [ ("mac", 1); ("exp_4", 1); ("mac", 2) ];
-  print_newline ()
+  ab ~name:"explain" ~prepare:(fun _ i -> i)
+    ~row:(fun c (plain, _) (explained, result) ->
+      (match result with
+      | IM.Infeasible { IM.diagnosis = Some d; _ } ->
+          Printf.printf "  %-10s ii%-3d %9.3fs %9.3fs %8.2fx %6d %10b %9d\n%!" c.bench c.ii plain
+            explained
+            (if plain > 0.0 then explained /. plain else 0.0)
+            (List.length d.IM.core) d.IM.core_minimized d.IM.core_sat_calls
+      | IM.Infeasible { IM.diagnosis = None; _ } ->
+          Printf.printf "  %-10s ii%-3d core extraction hit the deadline\n%!" c.bench c.ii
+      | IM.Mapped _ | IM.Timeout _ ->
+          Printf.printf "  %-10s ii%-3d not an infeasible cell — skipped\n%!" c.bench c.ii);
+      [])
+    ("plain", timed_map opts ~reps ~explain:false ())
+    ("explain", timed_map opts ~reps ~explain:true ())
+    (homo_orth_2x2 [ ("mac", 1); ("exp_4", 1); ("mac", 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Cross-check: native exact engine vs an external MILP backend        *)
@@ -675,52 +665,47 @@ let run_crosscheck opts =
   let module Backend = Cgra_backend.Backend in
   Printf.printf "== Cross-check: native-sat vs %s (%dx%d, limit %.0fs) ==\n" opts.backend
     opts.size opts.size opts.limit;
-  match Sweep_runner.variant_of_name opts.backend with
-  | Error msg ->
-      Printf.eprintf "crosscheck: %s\n%!" msg;
-      exit 2
-  | Ok variant -> (
-      match IM.available variant.Sweep_runner.engine with
-      | Backend.Unavailable reason ->
-          Printf.printf "crosscheck: skipped — backend %s unavailable (%s)\n\n%!" opts.backend
-            reason
-      | Backend.Available { version } ->
-          Printf.printf "backend %s: %s\n" opts.backend
-            (Option.value ~default:"version unknown" version);
-          let benchmarks =
-            match opts.benchmarks with [] -> [ "accum"; "mac"; "2x2-f"; "exp_4" ] | bs -> bs
-          in
-          let jobs =
-            Sweep_job.paper_grid ~size:opts.size ~contexts:[ 1; 2 ] ~limit:opts.limit
-              ~benchmarks ~archs:[ "homo-orth" ] ()
-          in
-          Printf.printf "  %-28s %-12s %8s   %-12s %8s\n" "cell" "native" "sec" opts.backend
-            "sec";
-          let disagreements = ref 0 in
-          List.iter
-            (fun job ->
-              let native = Sweep_runner.run job in
-              let ext = Sweep_runner.run_variant variant job in
-              let agreed =
-                Sweep_record.verdicts_agree ~status:native.Sweep_record.status
-                  ~objective:native.Sweep_record.objective ~status2:ext.Sweep_record.status
-                  ~objective2:ext.Sweep_record.objective
-              in
-              if not agreed then incr disagreements;
-              Printf.printf "  %-28s %-12s %7.2fs   %-12s %7.2fs%s\n%!"
-                (Sweep_job.to_string job)
-                (Sweep_record.status_to_string native.Sweep_record.status)
-                native.Sweep_record.total_seconds
-                (Sweep_record.status_to_string ext.Sweep_record.status)
-                ext.Sweep_record.total_seconds
-                (if agreed then "" else "   ** DISAGREEMENT **"))
-            jobs;
-          print_newline ();
-          if !disagreements > 0 then begin
-            Printf.eprintf "crosscheck: %d disagreement(s) between native-sat and %s\n%!"
-              !disagreements opts.backend;
-            exit 5
-          end)
+  let variant =
+    match Sweep_runner.variant_of_name opts.backend with
+    | Ok variant -> variant
+    | Error msg ->
+        Printf.eprintf "crosscheck: %s\n%!" msg;
+        exit 2
+  in
+  match IM.available variant.Sweep_runner.engine with
+  | Backend.Unavailable reason ->
+      Printf.printf "crosscheck: skipped — backend %s unavailable (%s)\n\n%!" opts.backend reason
+  | Backend.Available { version } ->
+      Printf.printf "backend %s: %s\n" opts.backend
+        (Option.value ~default:"version unknown" version);
+      Printf.printf "  %-28s %-12s %8s   %-12s %8s\n" "cell" "native" "sec" opts.backend "sec";
+      let agreed (a : Sweep_record.t) (b : Sweep_record.t) =
+        Sweep_record.verdicts_agree ~status:a.Sweep_record.status
+          ~objective:a.Sweep_record.objective ~status2:b.Sweep_record.status
+          ~objective2:b.Sweep_record.objective
+      in
+      let benchmarks =
+        match opts.benchmarks with [] -> [ "accum"; "mac"; "2x2-f"; "exp_4" ] | bs -> bs
+      in
+      ab ~name:"crosscheck"
+        ~prepare:(fun c _ ->
+          { Sweep_job.benchmark = c.bench; arch = c.arch; size = c.size; contexts = c.ii;
+            limit = opts.limit })
+        ~agree:(fun native ext -> if agreed native ext then Agree else Disagreed)
+        ~row:(fun _ native ext ->
+          Printf.printf "  %-28s %-12s %7.2fs   %-12s %7.2fs%s\n%!"
+            (Sweep_job.to_string native.Sweep_record.job)
+            (Sweep_record.status_to_string native.Sweep_record.status)
+            native.Sweep_record.total_seconds
+            (Sweep_record.status_to_string ext.Sweep_record.status)
+            ext.Sweep_record.total_seconds
+            (if agreed native ext then "" else "   ** DISAGREEMENT **");
+          [])
+        ("native-sat", fun job -> Sweep_runner.run job)
+        (opts.backend, Sweep_runner.run_variant variant)
+        (List.concat_map
+           (fun ii -> List.map (fun b -> cell (b, "homo-orth", opts.size, ii)) benchmarks)
+           [ 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -816,16 +801,12 @@ let run_serve opts =
           };
     }
   in
-  let client =
-    match Serve_client.connect ~socket with Ok c -> c | Error e -> failwith e
-  in
+  let client = match Serve_client.connect ~socket with Ok c -> c | Error e -> failwith e in
   let roundtrip () =
-    let t0 = Deadline.now () in
-    match Serve_client.roundtrip client request with
-    | Ok { Serve_protocol.reply = Serve_protocol.Verdict v; _ } ->
-        (Deadline.elapsed_of ~start:t0, v)
-    | Ok _ -> failwith "unexpected daemon reply"
-    | Error e -> failwith e
+    match mean_of ~reps:1 (fun () -> Serve_client.roundtrip client request) with
+    | dt, Ok { Serve_protocol.reply = Serve_protocol.Verdict v; _ } -> (dt, v)
+    | _, Ok _ -> failwith "unexpected daemon reply"
+    | _, Error e -> failwith e
   in
   let cold_seconds, cold_verdict = roundtrip () in
   if cold_verdict.Serve_protocol.provenance.Serve_protocol.cache_hit then
@@ -869,21 +850,16 @@ let run_serve opts =
     (stats.Serve_protocol.session_hits + stats.Serve_protocol.session_misses)
     hit_rate;
   record_bench_run ~name:"serve"
-    (Jsonl.Obj
-       [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("benchmark", Jsonl.Str "mac");
-         ("arch", Jsonl.Str "homo-orth");
-         ("size", Jsonl.Num (float_of_int opts.size));
-         ("contexts", Jsonl.Num 1.0);
-         ("repeats", Jsonl.Num (float_of_int repeats));
-         ("cold_seconds", Jsonl.Num cold_seconds);
-         ("warm_p50_seconds", Jsonl.Num p50);
-         ("warm_p95_seconds", Jsonl.Num p95);
-         ("speedup", Jsonl.Num speedup);
-         ("cache_hit_rate", Jsonl.Num hit_rate);
-         ("warm_starts", Jsonl.Num (float_of_int stats.Serve_protocol.warm_starts));
-       ]);
+    (cell_fields { bench = "mac"; arch = "homo-orth"; size = opts.size; ii = 1 }
+    @ [
+      ("repeats", Jsonl.Num (float_of_int repeats));
+      ("cold_seconds", Jsonl.Num cold_seconds);
+      ("warm_p50_seconds", Jsonl.Num p50);
+      ("warm_p95_seconds", Jsonl.Num p95);
+      ("speedup", Jsonl.Num speedup);
+      ("cache_hit_rate", Jsonl.Num hit_rate);
+      ("warm_starts", Jsonl.Num (float_of_int stats.Serve_protocol.warm_starts));
+    ]);
   if speedup < 1.5 then begin
     Printf.eprintf
       "serve: warm path only %.2fx faster than cold — resident caching is not paying off\n"
@@ -908,62 +884,38 @@ module Topology = Cgra_arch.Topology
    build. *)
 let archscale_gate = 2.0
 
-let archscale_baseline ~field () =
-  (* last journaled run's 8x8 mesh value of [field] (in seconds) *)
-  match List.rev (previous_bench_runs ~name:"archscale") with
-  | [] -> None
-  | last :: _ -> (
-      match Jsonl.member "rows" last with
-      | Some (Jsonl.List rows) ->
-          List.find_map
-            (fun row ->
-              match
-                (Jsonl.member "size" row, Jsonl.member "topology" row,
-                 Jsonl.member field row)
-              with
-              | Some (Jsonl.Num 8.0), Some (Jsonl.Str "mesh"), Some (Jsonl.Num s) -> Some s
-              | _ -> None)
-            rows
-      | _ -> None)
+(* The row every archscale gate reads: the 8x8 mesh. *)
+let mesh_8x8 row =
+  Jsonl.member "size" row = Some (Jsonl.Num 8.0)
+  && Jsonl.member "topology" row = Some (Jsonl.Str "mesh")
 
 let run_archscale opts =
   Printf.printf "== arch-scale: elaborate/encode/solve cost vs array size ==\n";
-  let dfg =
-    match Benchmarks.by_name "mac" with
-    | Some d -> d
-    | None -> failwith "bench archscale: mac benchmark missing"
-  in
+  let dfg = Benchmarks.mac () in
   let best_of n f =
-    let best = ref infinity and keep = ref None in
-    for _ = 1 to n do
-      let dt, v = f () in
-      if dt < !best then begin
-        best := dt;
-        keep := Some v
-      end
+    let best = ref (f ()) in
+    for _ = 2 to n do
+      let ((dt, _) as run) = f () in
+      if dt < fst !best then best := run
     done;
-    (!best, Option.get !keep)
+    !best
   in
   Printf.printf "  %-8s %-6s %12s %10s %10s %12s %10s\n" "topology" "size" "elaborate"
     "nodes" "edges" "encode" "solve";
-  let gate_current = ref None in
-  let encode_current = ref None in
   let rows =
     List.concat_map
       (fun topology ->
         List.map
           (fun size ->
-            let config =
-              { Lib.rows = size; cols = size; topology; fu_mix = Lib.Homogeneous;
-                route = Lib.Direct }
+            let arch =
+              Lib.make
+                { Lib.rows = size; cols = size; topology; fu_mix = Lib.Homogeneous; route = Lib.Direct }
             in
-            let arch = Lib.make config in
             let elab_seconds, (profile : Build.profile) =
               best_of 3 (fun () ->
                   let _, p = Build.elaborate_profiled arch ~ii:1 in
                   (p.Build.total_seconds, p))
             in
-            if size = 8 && topology = Topology.Mesh then gate_current := Some elab_seconds;
             let mrrg = Build.elaborate arch ~ii:1 in
             (* best of 3, like elaboration: the encode gate compares
                journaled runs across commits, so the number must
@@ -984,25 +936,14 @@ let run_archscale opts =
                   (p.Formulation.total_seconds, (f, p)))
             in
             let model_rows = (Formulation.size f).Formulation.n_rows in
-            if size = 8 && topology = Topology.Mesh then encode_current := Some encode_seconds;
             let solve =
-              if size <= 4 then begin
-                let t0 = Deadline.now () in
-                let result =
-                  IM.map ~warm_start:0.0
-                    ~deadline:(Deadline.after ~seconds:opts.limit)
-                    dfg mrrg
+              if size > 4 then None
+              else
+                let dt, result =
+                  mean_of ~reps:1 (fun () ->
+                      IM.map ~warm_start:0.0 ~deadline:(Deadline.after ~seconds:opts.limit) dfg mrrg)
                 in
-                let dt = Deadline.elapsed_of ~start:t0 in
-                let status =
-                  match result with
-                  | IM.Mapped _ -> "feasible"
-                  | IM.Infeasible _ -> "infeasible"
-                  | IM.Timeout _ -> "timeout"
-                in
-                Some (dt, status)
-              end
-              else None
+                Some (dt, result_status result)
             in
             Printf.printf "  %-8s %-6s %11.1fms %10d %10d %11.1fms %10s\n%!"
               (Topology.to_string topology)
@@ -1013,48 +954,45 @@ let run_archscale opts =
               | Some (dt, status) -> Printf.sprintf "%s %.1fs" status dt
               | None -> "-");
             Jsonl.Obj
-              (List.concat
-                 [
-                   [
-                     ("size", Jsonl.Num (float_of_int size));
-                     ("topology", Jsonl.Str (Topology.to_string topology));
-                     ("elaborate_seconds", Jsonl.Num elab_seconds);
-                     ("instance_seconds", Jsonl.Num profile.Build.instance_seconds);
-                     ("wire_seconds", Jsonl.Num profile.Build.wire_seconds);
-                     ("nodes", Jsonl.Num (float_of_int profile.Build.n_nodes));
-                     ("edges", Jsonl.Num (float_of_int profile.Build.n_edges));
-                     ("encode_seconds", Jsonl.Num encode_seconds);
-                     ("model_rows", Jsonl.Num (float_of_int model_rows));
-                     ( "encode_phases",
-                       Jsonl.Obj
-                         (List.map
-                            (fun (k, s) -> (k, Jsonl.Num s))
-                            (Formulation.profile_fields encode_profile)) );
-                   ];
-                   (match solve with
-                   | Some (dt, status) ->
-                       [
-                         ("solve_seconds", Jsonl.Num dt);
-                         ("solve_status", Jsonl.Str status);
-                         ("solve_budget_seconds", Jsonl.Num opts.limit);
-                       ]
-                   | None -> []);
-                 ]))
+              ([
+                 ("size", Jsonl.Num (float_of_int size));
+                 ("topology", Jsonl.Str (Topology.to_string topology));
+                 ("elaborate_seconds", Jsonl.Num elab_seconds);
+                 ("instance_seconds", Jsonl.Num profile.Build.instance_seconds);
+                 ("wire_seconds", Jsonl.Num profile.Build.wire_seconds);
+                 ("nodes", Jsonl.Num (float_of_int profile.Build.n_nodes));
+                 ("edges", Jsonl.Num (float_of_int profile.Build.n_edges));
+                 ("encode_seconds", Jsonl.Num encode_seconds);
+                 ("model_rows", Jsonl.Num (float_of_int model_rows));
+                 ( "encode_phases",
+                   Jsonl.Obj
+                     (List.map
+                        (fun (k, s) -> (k, Jsonl.Num s))
+                        (Formulation.profile_fields encode_profile)) );
+               ]
+              @
+              match solve with
+              | Some (dt, status) ->
+                  [
+                    ("solve_seconds", Jsonl.Num dt);
+                    ("solve_status", Jsonl.Str status);
+                    ("solve_budget_seconds", Jsonl.Num opts.limit);
+                  ]
+              | None -> []))
           [ 2; 4; 8; 16 ])
       [ Topology.Mesh; Topology.Torus ]
   in
-  let elab_baseline = archscale_baseline ~field:"elaborate_seconds" () in
-  let encode_baseline = archscale_baseline ~field:"encode_seconds" () in
+  (* read before this run is journaled: the baseline is the last run *)
+  let baseline field = last_journaled ~name:"archscale" ~rows:"rows" ~where:mesh_8x8 field in
+  let elab_baseline = baseline "elaborate_seconds" and encode_baseline = baseline "encode_seconds" in
   record_bench_run ~name:"archscale"
-    (Jsonl.Obj
-       [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("benchmark", Jsonl.Str "mac");
-         ("gate", Jsonl.Num archscale_gate);
-         ("rows", Jsonl.List rows);
-       ]);
-  let gate what baseline current =
-    match (baseline, current) with
+    [
+      ("benchmark", Jsonl.Str "mac");
+      ("gate", Jsonl.Num archscale_gate);
+      ("rows", Jsonl.List rows);
+    ];
+  let gate what field baseline =
+    match (baseline, find_num ~where:mesh_8x8 field rows) with
     | Some base, Some current ->
         Printf.printf "  gate: 8x8 mesh %s %.1fms vs journaled %.1fms (limit %.1fx)\n%!" what
           (1000.0 *. current) (1000.0 *. base) archscale_gate;
@@ -1070,8 +1008,8 @@ let run_archscale opts =
           "  gate: no journaled %s baseline yet — this run seeds BENCH_archscale.json\n%!" what
     | _, None -> ()
   in
-  gate "elaboration" elab_baseline !gate_current;
-  gate "encode" encode_baseline !encode_current;
+  gate "elaboration" "elaborate_seconds" elab_baseline;
+  gate "encode" "encode_seconds" encode_baseline;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1089,142 +1027,83 @@ let run_archscale opts =
 let conn_gate = 8.0
 
 let run_conn opts =
-  let module Solve = Cgra_ilp.Solve in
   let module FI = Cgra_core.Formulation_intf in
   Cgra_conn.Conn.ensure_registered ();
   Printf.printf "== Formulation A/B: paper vs conn (limit %.0fs) ==\n" opts.limit;
-  let impl name =
-    match IM.find_formulation (Some name) with
-    | Ok impl -> impl
-    | Error msg -> failwith ("bench conn: " ^ msg)
-  in
-  let paper = impl FI.default_name and conn = impl Cgra_conn.Conn.formulation_name in
-  (* feasible and infeasible cells, both context counts; the 2x2 mac
-     cell keeps an unsat verdict in the agreement check *)
-  let cells =
-    [
-      ("mac", "homo-orth", 2, 1); ("mac", "homo-orth", 4, 1);
-      ("mac", "hetero-orth", 4, 1); ("2x2-f", "homo-diag", 4, 1);
-      ("accum", "homo-orth", 4, 1); ("2x2-f", "homo-orth", 2, 2);
-    ]
-  in
-  let status = function
-    | Solve.Optimal _ | Solve.Feasible _ -> "sat"
-    | Solve.Infeasible -> "unsat"
-    | Solve.Timeout -> "TO"
-  in
-  let measure (impl : FI.impl) dfg mrrg =
-    let t0 = Deadline.now () in
-    let f = impl.FI.build ~objective:Formulation.Feasibility dfg mrrg in
-    let encode_seconds = Deadline.elapsed_of ~start:t0 in
-    let report =
-      Solve.solve_report ~deadline:(Deadline.after ~seconds:opts.limit) f.FI.model
+  (* one side: encode (timed), then solve; sizes as rows and variables *)
+  let measure name =
+    let impl =
+      match IM.find_formulation (Some name) with Ok i -> i | Error e -> failwith ("bench conn: " ^ e)
     in
-    (f.FI.size, encode_seconds, report)
+    fun (dfg, mrrg) ->
+    let encode_seconds, f =
+      mean_of ~reps:1 (fun () -> impl.FI.build ~objective:Formulation.Feasibility dfg mrrg)
+    in
+    let report = Solve.solve_report ~deadline:(Deadline.after ~seconds:opts.limit) f.FI.model in
+    let s = f.FI.size in
+    ( float_of_int s.Formulation.n_rows,
+      float_of_int (s.Formulation.n_f + s.Formulation.n_r + s.Formulation.n_rk),
+      encode_seconds,
+      outcome_status report.Solve.outcome,
+      report.Solve.solve_seconds )
   in
   Printf.printf "  %-24s %-6s %16s %16s %18s\n" "cell" "status" "rows paper/conn"
     "enc paper/conn" "solve paper/conn";
-  let gate_failed = ref false in
-  let rows =
-    List.filter_map
-      (fun (bench, arch_name, size, ii) ->
-        match (Benchmarks.by_name bench, Lib.find_config ~size arch_name) with
-        | None, _ | _, None ->
-            Printf.printf "  %-24s unknown cell — skipped\n" bench;
-            None
-        | Some dfg, Some config ->
-            let mrrg = Build.elaborate (Lib.make config) ~ii in
-            let p_size, p_encode, p_report = measure paper dfg mrrg in
-            let c_size, c_encode, c_report = measure conn dfg mrrg in
-            let p_status = status p_report.Solve.outcome
-            and c_status = status c_report.Solve.outcome in
-            let cell = Printf.sprintf "%s/%s/ii%d" bench arch_name ii in
-            if p_status <> "TO" && c_status <> "TO" && p_status <> c_status then begin
-              Printf.eprintf "conn: %s verdict flipped across formulations (%s vs %s)\n%!"
-                cell p_status c_status;
-              exit 3
-            end;
-            let blowup =
-              float_of_int c_size.Formulation.n_rows
-              /. float_of_int (max 1 p_size.Formulation.n_rows)
-            in
-            if blowup > conn_gate then gate_failed := true;
-            Printf.printf "  %-24s %-6s %7d/%8d %7.0f/%5.0fms %8.0f/%7.0fms\n%!" cell
-              c_status p_size.Formulation.n_rows c_size.Formulation.n_rows
-              (1000.0 *. p_encode) (1000.0 *. c_encode)
-              (1000.0 *. p_report.Solve.solve_seconds)
-              (1000.0 *. c_report.Solve.solve_seconds);
-            let vars (s : Formulation.size) = s.Formulation.n_f + s.Formulation.n_r + s.Formulation.n_rk in
-            Some
-              (Jsonl.Obj
-                 [
-                   ("benchmark", Jsonl.Str bench);
-                   ("arch", Jsonl.Str arch_name);
-                   ("size", Jsonl.Num (float_of_int size));
-                   ("contexts", Jsonl.Num (float_of_int ii));
-                   ("status", Jsonl.Str c_status);
-                   ("paper_rows", Jsonl.Num (float_of_int p_size.Formulation.n_rows));
-                   ("paper_vars", Jsonl.Num (float_of_int (vars p_size)));
-                   ("paper_encode_seconds", Jsonl.Num p_encode);
-                   ("paper_solve_seconds", Jsonl.Num p_report.Solve.solve_seconds);
-                   ("conn_rows", Jsonl.Num (float_of_int c_size.Formulation.n_rows));
-                   ("conn_vars", Jsonl.Num (float_of_int (vars c_size)));
-                   ("conn_encode_seconds", Jsonl.Num c_encode);
-                   ("conn_solve_seconds", Jsonl.Num c_report.Solve.solve_seconds);
-                   ("row_blowup", Jsonl.Num blowup);
-                 ]))
-      cells
-  in
-  record_bench_run ~name:"conn"
-    (Jsonl.Obj
+  ab ~name:"conn"
+    ~journal:(fun _ -> [ ("gate", Jsonl.Num conn_gate) ])
+    ~gate:(fun rows ->
+      let blowups = List.filter_map (fun row -> find_num "row_blowup" [ row ]) rows in
+      if List.exists (fun b -> b > conn_gate) blowups then
+        Some (Printf.sprintf "a cell's row count blew past %.1fx the paper formulation's" conn_gate)
+      else None)
+    ~agree:(fun (_, _, _, p, _) (_, _, _, c, _) ->
+      if p = "TO" || c = "TO" || p = c then Agree else Flipped (p, c))
+    ~prepare:(fun _ i -> i)
+    ~row:(fun c (p_rows, p_vars, p_encode, _, p_solve) (c_rows, c_vars, c_encode, status, c_solve) ->
+      let blowup = c_rows /. Float.max 1.0 p_rows in
+      Printf.printf "  %-24s %-6s %7.0f/%8.0f %7.0f/%5.0fms %8.0f/%7.0fms\n%!" (cell_name c)
+        status p_rows c_rows (1000.0 *. p_encode) (1000.0 *. c_encode) (1000.0 *. p_solve)
+        (1000.0 *. c_solve);
+      cell_fields c
+      @ [
+          ("status", Jsonl.Str status);
+          ("paper_rows", Jsonl.Num p_rows);
+          ("paper_vars", Jsonl.Num p_vars);
+          ("paper_encode_seconds", Jsonl.Num p_encode);
+          ("paper_solve_seconds", Jsonl.Num p_solve);
+          ("conn_rows", Jsonl.Num c_rows);
+          ("conn_vars", Jsonl.Num c_vars);
+          ("conn_encode_seconds", Jsonl.Num c_encode);
+          ("conn_solve_seconds", Jsonl.Num c_solve);
+          ("row_blowup", Jsonl.Num blowup);
+        ])
+    ("paper", measure FI.default_name) ("conn", measure Cgra_conn.Conn.formulation_name)
+    (* feasible and infeasible cells, both context counts; the 2x2 mac
+       cell keeps an unsat verdict in the agreement check *)
+    (List.map cell
        [
-         ("unix_time", Jsonl.Num (Unix.gettimeofday ()));
-         ("gate", Jsonl.Num conn_gate);
-         ("cells", Jsonl.List rows);
-       ]);
-  if !gate_failed then begin
-    Printf.eprintf "conn: a cell's row count blew past %.1fx the paper formulation's\n%!"
-      conn_gate;
-    exit 1
-  end;
-  print_newline ()
+         ("mac", "homo-orth", 2, 1); ("mac", "homo-orth", 4, 1);
+         ("mac", "hetero-orth", 4, 1); ("2x2-f", "homo-diag", 4, 1);
+         ("accum", "homo-orth", 4, 1); ("2x2-f", "homo-orth", 2, 2);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Argument parsing                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let parse_args () =
-  let opts = ref default_options in
-  let cmds = ref [] in
-  let rec go = function
-    | [] -> ()
-    | "--limit" :: v :: rest ->
-        opts := { !opts with limit = float_of_string v };
-        go rest
-    | "--size" :: v :: rest ->
-        opts := { !opts with size = int_of_string v };
-        go rest
-    | "--benchmark" :: v :: rest ->
-        opts := { !opts with benchmarks = v :: !opts.benchmarks };
-        go rest
-    | "--seeds" :: v :: rest ->
-        opts := { !opts with seeds = int_of_string v };
-        go rest
-    | "--jobs" :: v :: rest ->
-        opts := { !opts with jobs = int_of_string v };
-        go rest
-    | "--journal" :: v :: rest ->
-        opts := { !opts with journal = v };
-        go rest
-    | "--backend" :: v :: rest ->
-        opts := { !opts with backend = v };
-        go rest
-    | cmd :: rest ->
-        cmds := cmd :: !cmds;
-        go rest
+  let rec go opts cmds = function
+    | [] -> (opts, List.rev cmds)
+    | "--limit" :: v :: rest -> go { opts with limit = float_of_string v } cmds rest
+    | "--size" :: v :: rest -> go { opts with size = int_of_string v } cmds rest
+    | "--benchmark" :: v :: rest -> go { opts with benchmarks = v :: opts.benchmarks } cmds rest
+    | "--seeds" :: v :: rest -> go { opts with seeds = int_of_string v } cmds rest
+    | "--jobs" :: v :: rest -> go { opts with jobs = int_of_string v } cmds rest
+    | "--journal" :: v :: rest -> go { opts with journal = v } cmds rest
+    | "--backend" :: v :: rest -> go { opts with backend = v } cmds rest
+    | cmd :: rest -> go opts (cmd :: cmds) rest
   in
-  go (List.tl (Array.to_list Sys.argv));
-  (!opts, List.rev !cmds)
+  go default_options [] (List.tl (Array.to_list Sys.argv))
 
 let () =
   let opts, cmds = parse_args () in

@@ -21,6 +21,7 @@ module Lp_format = Cgra_ilp.Lp_format
 module Deadline = Cgra_util.Deadline
 module Backend = Cgra_backend.Backend
 module Jsonl = Cgra_sweep.Jsonl
+module Runner = Cgra_sweep.Runner
 module Serve_protocol = Cgra_serve.Protocol
 module Serve_server = Cgra_serve.Server
 module Serve_client = Cgra_serve.Client
@@ -73,40 +74,12 @@ let seed_arg =
   let doc = "Random seed for the annealing mapper." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Name resolution is the sweep runner's (paper config, gallery, file
+   path), so the CLI, sweep records and served requests report the same
+   hints; only `-` (ADL text on stdin) is the CLI's own. *)
 let load_arch name size =
   if name = "-" then Adl.of_string (In_channel.input_all stdin)
-  else
-    match Lib.find_config ~size name with
-    | Some config -> Ok (Lib.make config)
-    | None -> (
-        match Lib.find_gallery name with
-        | Some config -> Ok (Lib.make config)
-        | None ->
-            if Sys.file_exists name then
-              let ic = open_in_bin name in
-              let text = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              Adl.of_string text
-            else
-              Error
-                (Printf.sprintf
-                   "unknown architecture %S (expected one of %s, a gallery name from `cgra_map \
-                    arch gallery`, the path of an .adl file, or `-` for stdin)"
-                   name
-                   (String.concat ", " arch_names)))
-
-let load_benchmark name =
-  match Benchmarks.by_name name with
-  | Some dfg -> Ok dfg
-  | None ->
-      if Sys.file_exists name then begin
-        let ic = open_in_bin name in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Dfg.of_text text
-      end
-      else
-        Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
+  else Runner.load_arch ~size name
 
 let deadline_of limit = if limit <= 0.0 then Deadline.none else Deadline.after ~seconds:limit
 
@@ -197,7 +170,7 @@ let print_verdict_json ~engine ~t0 result =
 
 let map_cmd =
   let run bench arch size contexts limit optimize certify backend formulation json =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
@@ -284,7 +257,7 @@ let backends_cmd =
 
 let explain_cmd =
   let run bench arch size contexts limit json =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let t0 = Deadline.now () in
@@ -330,7 +303,7 @@ let explain_cmd =
 
 let anneal_cmd =
   let run bench arch size contexts limit seed =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let params = { Anneal.moderate with Anneal.seed } in
@@ -351,7 +324,7 @@ let anneal_cmd =
 
 let config_cmd =
   let run bench arch size contexts limit =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -375,7 +348,7 @@ let config_cmd =
 
 let map_dot_cmd =
   let run bench arch size contexts limit =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -390,7 +363,7 @@ let map_dot_cmd =
 
 let simulate_cmd =
   let run bench arch size contexts limit seed =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     match IM.map ~deadline:(deadline_of limit) dfg mrrg with
@@ -437,7 +410,7 @@ let mrrg_dot_cmd =
 
 let dfg_dot_cmd =
   let run bench =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     print_string (Dfg.to_dot dfg)
   in
   Cmd.v
@@ -653,7 +626,7 @@ let fuzz_arch_cmd =
 
 let lp_cmd =
   let run bench arch size contexts optimize formulation =
-    let dfg = or_die (load_benchmark bench) in
+    let dfg = or_die (Runner.load_benchmark bench) in
     let a = or_die (load_arch arch size) in
     let mrrg = Build.elaborate a ~ii:contexts in
     let objective = if optimize then Formulation.Min_routing else Formulation.Feasibility in
@@ -739,7 +712,7 @@ let sweep_cmd =
     let contexts = if contexts = [] then [ 1; 2 ] else contexts in
     (* Unknown solver names die before, not three hours into, the sweep. *)
     let variant name =
-      match Cgra_sweep.Runner.variant_of_name name with
+      match Runner.variant_of_name name with
       | Ok v -> v
       | Error msg ->
           Printf.eprintf "sweep: %s\n%!" msg;
@@ -749,7 +722,7 @@ let sweep_cmd =
     let racers =
       match List.map variant racer_backends with
       | [] -> []
-      | extra -> Cgra_sweep.Runner.default_racers (Domain.recommended_domain_count ()) @ extra
+      | extra -> Runner.default_racers (Domain.recommended_domain_count ()) @ extra
     in
     let grid = Sweep_job.paper_grid ~size ~contexts ~limit ~benchmarks ~archs () in
     let skip =

@@ -14,23 +14,6 @@
     [CGRA_SCIP_BIN]) — which is also how the test suite points the
     adapters at stub solvers. *)
 
-type spec = {
-  name : string;          (** registry key *)
-  doc : string;
-  binary : string;        (** default binary name on PATH *)
-  env_override : string;  (** environment variable naming the binary *)
-  dialect : Sol_parse.dialect;
-  version_args : string list;
-      (** arguments that make the binary print a version banner *)
-  command :
-    lp_file:string -> sol_file:string -> seconds:float option -> string list;
-      (** full argument list for one solve; [seconds] is the remaining
-          deadline to forward as the solver's own time limit *)
-}
-
-val make : spec -> Backend.t
-(** Build a backend from a solver description. *)
-
 val highs : Backend.t
 (** HiGHS ([highs model.lp --solution_file out]): the open-source MILP
     solver closest in class to the paper's Gurobi. *)

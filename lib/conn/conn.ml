@@ -509,7 +509,6 @@ let formulation_name = "conn"
 let impl =
   {
     Formulation_intf.name = formulation_name;
-    doc = "connectivity formulation: single-driver route trees + per-sink unit flows";
     build =
       (fun ?prune ~objective dfg mrrg ->
         let t, profile = build_profiled ~objective ?prune dfg mrrg in

@@ -13,7 +13,6 @@ type built = {
 
 type impl = {
   name : string;
-  doc : string;
   build : ?prune:bool -> objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
 }
 
@@ -86,7 +85,6 @@ let apply_warm_phases (f : Formulation.t) (m : Mapping.t) =
 let paper =
   {
     name = default_name;
-    doc = "per-edge sub-value routing over the MRRG (DAC'18 \xc2\xa74)";
     build =
       (fun ?prune ~objective dfg mrrg ->
         let f, profile = Formulation.build_profiled ~objective ?prune dfg mrrg in

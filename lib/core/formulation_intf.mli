@@ -41,7 +41,6 @@ type built = {
 
 type impl = {
   name : string;  (** registry key, e.g. ["paper"], ["conn"] *)
-  doc : string;   (** one-line description for [cgra_map backends] *)
   build : ?prune:bool -> objective:Formulation.objective -> Dfg.t -> Mrrg.t -> built;
       (** compile; [prune] selects corridor restriction where the
           formulation supports it (default on) *)

@@ -14,6 +14,8 @@
     - ["bad_request"] — well-formed request naming an unknown
       benchmark/architecture or carrying invalid parameters;
     - ["busy"] — request queue full, retry later;
+    - ["too_large"] — the request line is longer than 8 MiB; the rest
+      of the line is discarded and the connection stays open;
     - ["backend"] — an unknown solver name, or an external solver
       backend failed;
     - ["internal"] — unexpected server-side exception;

@@ -67,25 +67,58 @@ let serve_line ~engine ~pool ~stop fd line =
               | Ok verdict -> Protocol.Verdict verdict
               | Error (code, message) -> Protocol.Error_reply { code; message }))
 
+let max_line_bytes = 8 * 1024 * 1024
+
 (* One whole connection: a line-buffered read loop that polls the stop
    flag every 0.25 s so an idle keep-alive connection cannot hold the
    drain hostage.  In-flight requests (inside [serve_line]) finish
-   normally — their deadlines bound the wait. *)
+   normally — their deadlines bound the wait.  Only the bytes of each
+   read are scanned for a newline, so a long line costs linear time; a
+   line that outgrows [max_line_bytes] is answered [too_large] as soon
+   as it does, and its remaining bytes are dropped up to the newline. *)
 let serve_connection ~engine ~pool ~stop fd =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 4096 in
-  let rec drain_lines () =
-    let data = Buffer.contents buf in
-    match String.index_opt data '\n' with
-    | None -> true
+  let discarding = ref false in
+  let too_large () =
+    Buffer.reset buf;
+    send_response fd
+      {
+        Protocol.r_id = None;
+        reply =
+          Protocol.Error_reply
+            {
+              code = "too_large";
+              message = Printf.sprintf "request line exceeds %d bytes" max_line_bytes;
+            };
+      }
+  in
+  (* Consume chunk[off, n): serve every line it completes, buffer the
+     tail.  [false] when the connection must close. *)
+  let rec feed off n =
+    let rec newline i =
+      if i >= n then None else if Bytes.get chunk i = '\n' then Some i else newline (i + 1)
+    in
+    match newline off with
+    | None ->
+        if !discarding then true
+        else if Buffer.length buf + (n - off) > max_line_bytes then begin
+          discarding := true;
+          too_large ()
+        end
+        else begin
+          Buffer.add_subbytes buf chunk off (n - off);
+          true
+        end
+    | Some i when !discarding ->
+        discarding := false;
+        feed (i + 1) n
+    | Some i when Buffer.length buf + (i - off) > max_line_bytes -> too_large () && feed (i + 1) n
     | Some i ->
-        let line = String.sub data 0 i in
+        Buffer.add_subbytes buf chunk off (i - off);
+        let line = String.trim (Buffer.contents buf) in
         Buffer.clear buf;
-        Buffer.add_substring buf data (i + 1) (String.length data - i - 1);
-        let line = String.trim line in
-        if line = "" then drain_lines ()
-        else if serve_line ~engine ~pool ~stop fd line then drain_lines ()
-        else false
+        (line = "" || serve_line ~engine ~pool ~stop fd line) && feed (i + 1) n
   in
   let rec loop () =
     if Atomic.get stop then ()
@@ -95,9 +128,7 @@ let serve_connection ~engine ~pool ~stop fd =
       | _ -> (
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 -> () (* peer closed *)
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              if drain_lines () then loop ()
+          | n -> if feed 0 n then loop ()
           | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ())
   in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) loop

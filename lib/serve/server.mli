@@ -23,6 +23,11 @@ type config = {
   max_limit : float;  (** hard cap on any request's deadline, seconds *)
 }
 
+val max_line_bytes : int
+(** Longest request line the daemon buffers (8 MiB, not configurable).
+    A longer line gets a [too_large] error reply, its bytes are dropped
+    up to the next newline, and the connection keeps being served. *)
+
 val default_config : config
 (** Socket [/tmp/cgra_serve.sock], 2 workers, queue 64, caches 32/16,
     max limit 120 s. *)

@@ -63,7 +63,7 @@ let load_benchmark name =
   | Some dfg -> Ok dfg
   | None ->
       if Sys.file_exists name then Dfg.of_text (read_file name)
-      else Error (Printf.sprintf "unknown benchmark %S" name)
+      else Error (Printf.sprintf "unknown benchmark %S (see `cgra_map benchmarks`)" name)
 
 let load_arch ~size name =
   match Lib.find_config ~size name with
@@ -73,7 +73,13 @@ let load_arch ~size name =
       | Some config -> Ok (Lib.make config)
       | None ->
           if Sys.file_exists name then Adl.of_string (read_file name)
-          else Error (Printf.sprintf "unknown architecture %S" name))
+          else
+            Error
+              (Printf.sprintf
+                 "unknown architecture %S (expected one of %s, a gallery name from `cgra_map \
+                  arch gallery`, or the path of an .adl file)"
+                 name
+                 (String.concat ", " (List.map fst (Lib.paper_configs ~size:4)))))
 
 (* Every invocation elaborates its own DFG/arch/MRRG so that racing
    variants share no mutable structure at all — elaboration is

@@ -71,8 +71,10 @@ val prepare : Job.t -> (Cgra_dfg.Dfg.t * Cgra_mrrg.Mrrg.t, string) result
     diagnostics). *)
 
 val load_benchmark : string -> (Cgra_dfg.Dfg.t, string) result
-(** Resolve a benchmark by built-in name, else as a [.dfg] file path. *)
+(** Resolve a benchmark by built-in name, else as a [.dfg] file path.
+    The error names the command that lists the built-in benchmarks. *)
 
 val load_arch : size:int -> string -> (Cgra_arch.Arch.t, string) result
-(** Resolve an architecture by library name at [size], else as an ADL
-    file path (whose own dimensions then apply). *)
+(** Resolve an architecture by paper-configuration name at [size], else
+    by gallery name, else as an ADL file path (whose own dimensions then
+    apply).  The error lists the accepted forms. *)

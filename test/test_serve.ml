@@ -543,56 +543,86 @@ let test_socket_end_to_end () =
       | Ok _ -> Alcotest.fail "shutdown not acknowledged"
       | Error e -> Alcotest.failf "shutdown failed: %s" e)
 
-(* Send raw bytes over the socket, bypassing the typed client: garbage
-   and wrong-version lines must get parseable protocol errors, and the
-   connection must stay usable afterwards. *)
+(* A raw connection, bypassing the typed client: [send] writes bytes
+   as given (the caller frames lines), [recv_line] reads one reply. *)
+let with_raw_connection socket f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let send text =
+        let payload = Bytes.of_string text in
+        let rec go off =
+          if off < Bytes.length payload then
+            go (off + Unix.write fd payload off (Bytes.length payload - off))
+        in
+        go 0
+      in
+      let recv_line () =
+        let buf = Buffer.create 256 in
+        let chunk = Bytes.create 1 in
+        let rec go () =
+          match Unix.read fd chunk 0 1 with
+          | 0 -> Alcotest.fail "connection closed early"
+          | _ ->
+              if Bytes.get chunk 0 = '\n' then Buffer.contents buf
+              else begin
+                Buffer.add_char buf (Bytes.get chunk 0);
+                go ()
+              end
+        in
+        go ()
+      in
+      f ~send ~recv_line)
+
+let shutdown_server socket =
+  match Client.one_shot ~socket { Protocol.id = None; payload = Protocol.Shutdown } with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "shutdown failed: %s" e
+
+let expect_ping_ok ~send ~recv_line =
+  send ({|{"v":1,"op":"ping","id":"after"}|} ^ "\n");
+  match Protocol.response_of_line (recv_line ()) with
+  | Ok { Protocol.r_id = Some "after"; reply = Protocol.Ok_reply } -> ()
+  | Ok _ -> Alcotest.fail "ping after errors failed"
+  | Error e -> Alcotest.failf "unparseable ping reply: %s" e
+
+let expect_error_reply ~code ~what line =
+  match Protocol.response_of_line line with
+  | Ok { Protocol.reply = Protocol.Error_reply e; _ } ->
+      Alcotest.(check string) ("error code for " ^ what) code e.code
+  | Ok _ -> Alcotest.failf "no error for %s" what
+  | Error e -> Alcotest.failf "unparseable error reply: %s" e
+
+(* Garbage and wrong-version lines must get parseable protocol errors,
+   and the connection must stay usable afterwards. *)
 let test_socket_protocol_errors () =
   with_server (fun socket ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let send line =
-            let payload = Bytes.of_string (line ^ "\n") in
-            ignore (Unix.write fd payload 0 (Bytes.length payload))
-          in
-          let recv_line () =
-            let buf = Buffer.create 256 in
-            let chunk = Bytes.create 1 in
-            let rec go () =
-              match Unix.read fd chunk 0 1 with
-              | 0 -> Alcotest.fail "connection closed early"
-              | _ ->
-                  if Bytes.get chunk 0 = '\n' then Buffer.contents buf
-                  else begin
-                    Buffer.add_char buf (Bytes.get chunk 0);
-                    go ()
-                  end
-            in
-            go ()
-          in
+      with_raw_connection socket (fun ~send ~recv_line ->
           let expect_error ~code line =
-            send line;
-            match Protocol.response_of_line (recv_line ()) with
-            | Ok { Protocol.reply = Protocol.Error_reply e; _ } ->
-                Alcotest.(check string) ("error code for " ^ line) code e.code
-            | Ok _ -> Alcotest.failf "no error for %S" line
-            | Error e -> Alcotest.failf "unparseable error reply: %s" e
+            send (line ^ "\n");
+            expect_error_reply ~code ~what:line (recv_line ())
           in
           expect_error ~code:"protocol" "this is not json";
           expect_error ~code:"protocol" {|{"v":2,"op":"ping"}|};
           expect_error ~code:"bad_request"
             {|{"v":1,"op":"map","benchmark":"no-such-kernel","size":2}|};
           (* Same connection still answers properly framed requests. *)
-          send {|{"v":1,"op":"ping","id":"after"}|};
-          match Protocol.response_of_line (recv_line ()) with
-          | Ok { Protocol.r_id = Some "after"; reply = Protocol.Ok_reply } -> ()
-          | Ok _ -> Alcotest.fail "ping after errors failed"
-          | Error e -> Alcotest.failf "unparseable ping reply: %s" e);
-      match Client.one_shot ~socket { Protocol.id = None; payload = Protocol.Shutdown } with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "shutdown failed: %s" e)
+          expect_ping_ok ~send ~recv_line);
+      shutdown_server socket)
+
+(* A line past the daemon's cap is refused with [too_large] instead of
+   being buffered, and the rest of it is dropped up to its newline: the
+   next request on the same connection is served normally. *)
+let test_socket_oversized_line () =
+  with_server (fun socket ->
+      with_raw_connection socket (fun ~send ~recv_line ->
+          send (String.make (Server.max_line_bytes + 1) 'x');
+          send "still the same line\n";
+          expect_error_reply ~code:"too_large" ~what:"an oversized line" (recv_line ());
+          expect_ping_ok ~send ~recv_line);
+      shutdown_server socket)
 
 let suites =
   [
@@ -640,5 +670,7 @@ let suites =
           test_socket_end_to_end;
         Alcotest.test_case "protocol errors answered, connection survives" `Slow
           test_socket_protocol_errors;
+        Alcotest.test_case "oversized line refused, connection survives" `Slow
+          test_socket_oversized_line;
       ] );
   ]

@@ -186,27 +186,6 @@ let test_store_concurrent_writers () =
 
 (* ---------------- Pool ---------------- *)
 
-(* A resident pool survives across sweeps (the daemon's usage): two
-   consecutive runs on one pool must both complete with the same
-   answers as fresh-domain runs, and the pool must still drain. *)
-let test_scheduler_reuses_pool () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let reference, _ = Scheduler.run ~jobs:2 fast_jobs in
-      let r1, s1 = Scheduler.run ~jobs:2 ~pool fast_jobs in
-      let r2, s2 = Scheduler.run ~jobs:2 ~pool fast_jobs in
-      Alcotest.(check int) "first pooled sweep ran all" (List.length fast_jobs) s1.Scheduler.ran;
-      Alcotest.(check int) "second pooled sweep ran all" (List.length fast_jobs) s2.Scheduler.ran;
-      Alcotest.(check (list string)) "pooled run agrees" (statuses reference) (statuses r1);
-      Alcotest.(check (list string)) "pool is reusable" (statuses reference) (statuses r2);
-      (* The scheduler returns when every job's result is in; the worker
-         that ran the last task may not have cleared its active flag yet,
-         so synchronise with the pool before asserting idleness. *)
-      Pool.drain pool;
-      Alcotest.(check int) "pool idle after sweeps" 0 (Pool.pending pool + Pool.active pool))
-
 let test_pool_bounded_queue () =
   let pool = Pool.create ~queue_capacity:2 ~workers:1 () in
   let gate = Mutex.create () in
@@ -506,7 +485,6 @@ let suites =
         Alcotest.test_case "store append/load" `Quick test_store_roundtrip;
         Alcotest.test_case "store missing file" `Quick test_store_missing_file;
         Alcotest.test_case "store concurrent writers" `Quick test_store_concurrent_writers;
-        Alcotest.test_case "scheduler reuses a resident pool" `Slow test_scheduler_reuses_pool;
         Alcotest.test_case "pool bounds its queue" `Quick test_pool_bounded_queue;
         Alcotest.test_case "scheduler deterministic across --jobs" `Slow test_scheduler_deterministic;
         Alcotest.test_case "scheduler records errors, sweep survives" `Slow test_scheduler_error_capture;
